@@ -30,9 +30,9 @@ class RumbleConfig:
     corrupt_record_field: str = "_corrupt_record"
     #: Scan-level optimizations: projection pruning (skip wrapping of
     #: unreferenced top-level keys), predicate pushdown into the JSON
-    #: reader, min/max file-stats partition pruning and the top-k
-    #: rewrite.  Off = the reference clause-by-clause evaluation the
-    #: differential tests compare against.  See docs/performance.md.
+    #: reader and the top-k rewrite.  Off = the reference
+    #: clause-by-clause evaluation the differential tests compare
+    #: against.  See docs/performance.md.
     pushdown: bool = True
     #: How many items batched pulls (:meth:`RuntimeIterator.next_batch`)
     #: fetch per call on hot paths, instead of item-at-a-time ``next()``.
@@ -61,15 +61,16 @@ class RumbleConfig:
     #: into typed column batches and run predicate masks / batch kernels
     #: over them, boxing items only at the boundary (docs/performance.md,
     #: "Columnar execution").  Requires :attr:`pushdown` (the columnar
-    #: scan rides the pushdown plan).  None inherits the process default
-    #: (``RUMBLE_COLUMNAR``, on unless set to ``0``/``false``/empty).
+    #: scan rides the pushdown plan; see :class:`OptimizerFlags`).  None
+    #: inherits the process default (``RUMBLE_COLUMNAR``, on unless set
+    #: to ``0``/``false``/empty).
     columnar: Optional[bool] = None
     #: Whole-stage code generation: compile a fused narrow-chain +
     #: pushdown pipeline into one generated Python function (a flat
     #: per-partition loop, specialized on static types) instead of the
     #: closure-chained interpreter (docs/performance.md, "Whole-stage
-    #: code generation").  Requires :attr:`pushdown` (codegen rides the
-    #: pushdown plan).  None inherits the process default
+    #: code generation").  Requires :attr:`columnar` (generated loops
+    #: consume the batch scan).  None inherits the process default
     #: (``RUMBLE_CODEGEN``, on unless set to ``0``/``false``/empty).
     codegen: Optional[bool] = None
 
@@ -96,33 +97,40 @@ class RumbleConfig:
             sanitizer.enable()
 
 
-def columnar_enabled(config: "RumbleConfig") -> bool:
-    """Whether columnar execution is on for this engine: the config's
-    explicit choice, else the ``RUMBLE_COLUMNAR`` process default (on
-    unless ``0``/``false``/empty).  Columnar paths additionally require
-    pushdown — the batch scan is driven by the pushdown plan, and with
-    pushdown off the reference row path must stay untouched."""
-    import os
+@dataclass(frozen=True)
+class OptimizerFlags:
+    """The scan optimizer switches of one engine, resolved once.
 
-    choice = getattr(config, "columnar", None)
-    if choice is None:
-        choice = os.environ.get("RUMBLE_COLUMNAR", "1") not in (
-            "0", "false", ""
+    Each level rides the one below it — the generated loop consumes
+    columnar batches, the batch scan is driven by the pushdown plan — so
+    construction enforces codegen ⇒ columnar ⇒ pushdown: a flag whose
+    prerequisite is off is off, whatever was asked for.
+    """
+
+    pushdown: bool = True
+    columnar: bool = True
+    codegen: bool = True
+
+    def __post_init__(self) -> None:
+        columnar = bool(self.pushdown and self.columnar)
+        object.__setattr__(self, "pushdown", bool(self.pushdown))
+        object.__setattr__(self, "columnar", columnar)
+        object.__setattr__(self, "codegen", bool(columnar and self.codegen))
+
+    @classmethod
+    def resolve(cls, config: RumbleConfig) -> "OptimizerFlags":
+        """The flags ``config`` asks for: an explicit choice wins, else
+        the ``RUMBLE_COLUMNAR`` / ``RUMBLE_CODEGEN`` process default (on
+        unless ``0``/``false``/empty)."""
+        import os
+
+        def choice(explicit: Optional[bool], variable: str) -> bool:
+            if explicit is not None:
+                return explicit
+            return os.environ.get(variable, "1") not in ("0", "false", "")
+
+        return cls(
+            pushdown=config.pushdown,
+            columnar=choice(config.columnar, "RUMBLE_COLUMNAR"),
+            codegen=choice(config.codegen, "RUMBLE_CODEGEN"),
         )
-    return bool(choice) and getattr(config, "pushdown", True)
-
-
-def codegen_enabled(config: "RumbleConfig") -> bool:
-    """Whether whole-stage code generation is on for this engine: the
-    config's explicit choice, else the ``RUMBLE_CODEGEN`` process
-    default (on unless ``0``/``false``/empty).  Codegen additionally
-    requires pushdown — generated loops consume the pushdown plan, and
-    with pushdown off the reference row path must stay untouched."""
-    import os
-
-    choice = getattr(config, "codegen", None)
-    if choice is None:
-        choice = os.environ.get("RUMBLE_CODEGEN", "1") not in (
-            "0", "false", ""
-        )
-    return bool(choice) and getattr(config, "pushdown", True)

@@ -11,15 +11,12 @@ execution (local or on the Spark substrate), all behind one class::
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.config import (
-    RumbleConfig,
-    codegen_enabled,
-    columnar_enabled,
-)
+from repro.core.config import OptimizerFlags, RumbleConfig
 from repro.core.results import SequenceOfItems
 from repro.items import Item, item_from_python
 from repro.jsoniq import parser as jsoniq_parser
@@ -37,6 +34,11 @@ class RumbleRuntime:
     def __init__(self, spark: SparkSession, config: RumbleConfig):
         self.spark = spark
         self.config = config
+        #: The scan optimizer switches, resolved once per engine (explicit
+        #: config, then environment, then default).  Every "is this
+        #: optimization on" question reads this object; the shell's
+        #: ``:codegen`` toggle swaps it.
+        self.flags = OptimizerFlags.resolve(config)
         self.collections: Dict[str, object] = dict(config.collections)
         #: The observability bundle instrumentation sites consult.  The
         #: default is the shared disabled bundle, so per-row guards reduce
@@ -310,33 +312,27 @@ class Rumble:
         """The optimizer section of :meth:`explain`: global toggles plus
         each compiled FLWOR's pushdown decisions."""
         from repro.jsoniq.runtime.flwor.clauses import ReturnClauseIterator
+        from repro.jsoniq.runtime.flwor.pushdown import SINK_GENERATED
 
         context = self.spark.spark_context
         memory = context.memory
+        flags = self.runtime.flags
+
+        def switch(on: bool) -> str:
+            return "on" if on else "off"
+
         lines = [
             "Optimizer",
-            "  fusion: {}".format(
-                "on" if context.fusion_enabled else "off"
-            ),
-            "  pushdown: {}".format(
-                "on" if getattr(self.config, "pushdown", True) else "off"
-            ),
-            "  adaptive: {}".format(
-                "on" if context.adaptive.enabled else "off"
-            ),
+            "  fusion: " + switch(context.fusion_enabled),
+            "  pushdown: " + switch(flags.pushdown),
+            "  adaptive: " + switch(context.adaptive.enabled),
             "  memory budget: {}".format(
                 "{} bytes".format(memory.budget)
                 if memory.limited else "unbounded"
             ),
-            "  columnar: {}".format(
-                "on" if columnar_enabled(self.config) else "off"
-            ),
-            "  codegen: {}".format(
-                "on" if codegen_enabled(self.config) else "off"
-            ),
+            "  columnar: " + switch(flags.columnar),
+            "  codegen: " + switch(flags.codegen),
         ]
-        columnar_on = columnar_enabled(self.config)
-        codegen_on = codegen_enabled(self.config) and columnar_on
         decisions: List[str] = []
         sources: List[str] = []
         for root in _walk_iterators(iterator):
@@ -345,20 +341,10 @@ class Rumble:
             plan = root.pushdown_plan
             if plan is not None:
                 decisions.extend(
-                    "    " + line for line in plan.describe()
+                    "    " + line for line in plan.describe(flags)
                 )
-            cplan = getattr(root, "columnar_plan", None)
-            if cplan is not None and columnar_on:
-                decisions.extend(
-                    "    " + line for line in cplan.describe()
-                )
-            cgplan = getattr(root, "codegen_plan", None)
-            if cgplan is not None and codegen_on:
-                decisions.extend(
-                    "    " + line for line in cgplan.describe()
-                )
-                if cgplan.supported and not cgplan.plan.count_only:
-                    sources.append(cgplan.source)
+                if plan.sink(flags) == SINK_GENERATED:
+                    sources.append(plan.stage.source)
             if root.topk is not None:
                 decisions.append(
                     "    top-k rewrite: heap keeps {} row(s), "
@@ -488,9 +474,6 @@ class Rumble:
 
                     compiler = Compiler()
                     iterator, globals_ = compiler.compile_module(module)
-                    codegen_on = codegen_enabled(
-                        self.config
-                    ) and columnar_enabled(self.config)
                     for kind, fired in compiler.stats.items():
                         if not fired:
                             continue
@@ -498,7 +481,7 @@ class Rumble:
                             # The emitter's specialization tally; only
                             # meaningful (and only reported) when the
                             # generated stage can actually run.
-                            if codegen_on:
+                            if self.runtime.flags.codegen:
                                 obs.metrics.counter(
                                     "rumble.codegen.specialized",
                                     kind=kind[len("codegen_"):],
@@ -624,21 +607,16 @@ def make_engine(
         conf.set("spark.adaptive.enabled", adaptive)
     if memory_budget is not None:
         conf.set("spark.memory.budgetBytes", memory_budget)
-    if pushdown is not None:
-        if config is None:
-            config = RumbleConfig(pushdown=pushdown)
-        else:
-            config.pushdown = pushdown
-    if columnar is not None:
-        if config is None:
-            config = RumbleConfig(columnar=columnar)
-        else:
-            config.columnar = columnar
-    if codegen is not None:
-        if config is None:
-            config = RumbleConfig(codegen=codegen)
-        else:
-            config.codegen = codegen
+    overrides = {
+        name: value
+        for name, value in {
+            "pushdown": pushdown, "columnar": columnar, "codegen": codegen,
+        }.items()
+        if value is not None
+    }
+    if overrides:
+        # A copy: the caller's config may build other engines.
+        config = dataclasses.replace(config or RumbleConfig(), **overrides)
     from repro.spark import SparkContext
 
     return Rumble(SparkSession(SparkContext(conf)), config)

@@ -11,6 +11,7 @@ Usable programmatically (``RumbleShell().execute(...)``) and as a REPL
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from typing import Iterable, List, Optional, TextIO
 
@@ -107,13 +108,17 @@ class RumbleShell:
                 "on" if self.linting else "off"
             ))
         elif command == ":codegen":
-            from repro.core.config import codegen_enabled
-
-            # Flip from the currently *effective* setting (an unset
-            # config inherits RUMBLE_CODEGEN) to an explicit choice.
-            enabled = not codegen_enabled(self.engine.config)
-            self.engine.config.codegen = enabled
-            self._print("codegen {}".format("on" if enabled else "off"))
+            # Flip the *resolved* flag; the flags object keeps codegen
+            # off while columnar (or pushdown) is, and says so.
+            runtime = self.engine.runtime
+            wanted = not runtime.flags.codegen
+            runtime.flags = dataclasses.replace(
+                runtime.flags, codegen=wanted
+            )
+            if runtime.flags.codegen == wanted:
+                self._print("codegen " + ("on" if wanted else "off"))
+            else:
+                self._print("codegen off (requires pushdown and columnar)")
         else:
             self._print("unknown command: " + line)
         return True

@@ -13,8 +13,8 @@ poisoning the sibling columns of the regular rows.
 
 Batch consumers (see :mod:`repro.jsoniq.runtime.flwor.columnar`) run
 tight per-column loops — three-valued predicate masks for pushdown and
-vectorized single-numeric kernels reusing the static-type contracts —
-and *unshredding* rebuilds, per surviving row, the exact record dict the
+count / group-by kernels over raw column values — and *unshredding*
+rebuilds, per surviving row, the exact record dict the
 row-at-a-time scan would have handed to ``LazyObjectItem``, so boxing at
 the boundary is result-identical by construction.
 
@@ -27,10 +27,10 @@ sanitizer hierarchy (``items.columnar.batch_cache``).
 
 from __future__ import annotations
 
-import operator
 from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.items.compare import VALUE_OPS
 from repro.sanitizer import san_lock, shared_state
 
 #: Per-row, per-column validity codes.
@@ -62,12 +62,6 @@ KIND_MIXED = "mixed"
 
 #: How many leading records of a block the schema inference samples.
 SCHEMA_SAMPLE = 64
-
-_PY_OPS = {
-    "eq": operator.eq, "ne": operator.ne,
-    "lt": operator.lt, "le": operator.le,
-    "gt": operator.gt, "ge": operator.ge,
-}
 
 
 def _kind_of_value(value) -> Optional[str]:
@@ -333,7 +327,7 @@ class ColumnBatch:
 
     def _vector_mask(self, left, right, value_op: str
                      ) -> List[Optional[bool]]:
-        py_op = _PY_OPS[value_op]
+        py_op = VALUE_OPS[value_op][0]
         eq_family = value_op in ("eq", "ne")
         # Key-vs-literal over a homogeneous typed column: the tight loop.
         if left[0] == "key" and right[0] == "lit":
@@ -351,7 +345,7 @@ class ColumnBatch:
         read_left = self._operand_reader(left)
         read_right = self._operand_reader(right)
         return [
-            _scalar_verdict(read_left(row), read_right(row), py_op, eq_family)
+            scalar_verdict(read_left(row), read_right(row), py_op, eq_family)
             for row in range(self.row_count)
         ]
 
@@ -399,12 +393,19 @@ class ColumnBatch:
         return column.read
 
 
-def _scalar_verdict(mine, theirs, py_op, eq_family: bool) -> Optional[bool]:
-    """The three-valued verdict of one raw comparison — the column-read
-    twin of ``pushdown._make_raw``'s record path (ABSENT plays the
-    missing-key role)."""
+def scalar_verdict(mine, theirs, py_op, eq_family: bool) -> Optional[bool]:
+    """The three-valued verdict of one comparison over raw decoded JSON
+    values — the single definition behind the pushed row predicates
+    (``pushdown._make_raw``) and the column masks.  Only a definite
+    False prunes; None (unknown) keeps the row for the reference
+    re-check, type errors included."""
+    # An absent key is JSONiq's empty sequence: any comparison with it
+    # is definitively false (value comparisons yield the empty sequence,
+    # whose effective boolean value is false).
     if mine is ABSENT or theirs is ABSENT:
         return False
+    # JSON nulls and cross-family comparisons have engine-defined
+    # semantics (including type errors): unknown, never prune.
     if mine is None or theirs is None:
         return None
     mine_bool = isinstance(mine, bool)
@@ -500,64 +501,6 @@ def shred_records(records: Sequence[object],
             else:
                 column.append(value, PRESENT)
     return ColumnBatch(schema, columns, len(records), escaped)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized single-numeric arithmetic (PR 3's static-type contract)
-# ---------------------------------------------------------------------------
-
-_ARITH_OPS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-}
-
-
-def vector_arith(column: Column, op: str, operand) -> Column:
-    """Apply ``column <op> operand`` element-wise over a numeric column.
-
-    Supports the operators the static typer proves single-numeric
-    (``+ - *``); result kinds follow ``make_numeric``: integer when both
-    sides are integers, double as soon as either side is a double —
-    exactly what boxing each pair through ``compute_arithmetic`` yields.
-    Null and missing entries pass through untouched (the boxed path
-    would raise or emit empty on them before the operator applies, so
-    consumers must route such rows to the reference path).
-    """
-    if op not in _ARITH_OPS:
-        raise ValueError("unsupported vector arithmetic operator " + op)
-    if column.kind not in (KIND_INTEGER, KIND_DOUBLE, KIND_NUMBER):
-        raise ValueError(
-            "vector arithmetic needs a numeric column, got " + column.kind
-        )
-    if not isinstance(operand, (int, float)) or isinstance(operand, bool):
-        raise ValueError("vector arithmetic needs a numeric operand")
-    py_op = _ARITH_OPS[op]
-    if column.kind == KIND_INTEGER and isinstance(operand, int):
-        kind = KIND_INTEGER
-    elif column.kind == KIND_DOUBLE or isinstance(operand, float):
-        kind = KIND_DOUBLE
-    else:
-        kind = KIND_NUMBER
-    out = Column(kind)
-    out.values = [
-        py_op(value, operand) if flag == PRESENT else None
-        for value, flag in zip(column.values, column.validity)
-    ]
-    out.validity = list(column.validity)
-    return out
-
-
-def vector_compare(column: Column, value_op: str, operand
-                   ) -> List[Optional[bool]]:
-    """Element-wise three-valued comparison of a column against a scalar
-    — the standalone form of the predicate-mask kernel."""
-    py_op = _PY_OPS[value_op]
-    eq_family = value_op in ("eq", "ne")
-    return [
-        _scalar_verdict(column.read(row), operand, py_op, eq_family)
-        for row in range(len(column.validity))
-    ]
 
 
 # ---------------------------------------------------------------------------

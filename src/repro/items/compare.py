@@ -15,6 +15,7 @@ Two distinct notions coexist:
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Tuple
 
 from repro.items.atomics import promote_pair
@@ -30,6 +31,19 @@ CODE_FALSE = 4
 CODE_STRING = 5
 CODE_NUMBER = 6
 EMPTY_GREATEST = 7
+
+#: The comparison op tables, shared by every form a comparison takes (the
+#: row evaluator, the pushed scan predicates, the column masks, the code
+#: emitter): value-comparison spelling -> (Python operator, its source
+#: text), and the general spellings that quantify over the same six.
+VALUE_OPS = {
+    "eq": (operator.eq, "=="), "ne": (operator.ne, "!="),
+    "lt": (operator.lt, "<"), "le": (operator.le, "<="),
+    "gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
+}
+GENERAL_TO_VALUE = {
+    "=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
+}
 
 
 def value_compare(left: Item, right: Item) -> int:

@@ -13,15 +13,16 @@ ColumnBatch` vectors, boxing items only at the yield boundary.
 
 Layering mirrors :mod:`repro.jsoniq.runtime.flwor.columnar`:
 
-* :func:`plan_codegen` runs at compile time (from ``pushdown.annotate``)
-  and attaches a :class:`CodegenPlan` — the decision record plus, when
-  the chain is supported, the generated source — to the head for-clause
-  and the return clause;
+* at compile time ``pushdown.annotate`` runs :func:`emit_source` over
+  every chain of that shape and records the emitted stage — or the
+  reason it was declined — on the chain's one
+  :class:`~repro.jsoniq.runtime.flwor.pushdown.PushdownPlan`;
 * :func:`stage_rdd` is the runtime consumer ``ReturnClauseIterator.
   get_rdd`` asks first; it returns the generated stage's RDD, or None
-  whenever a gate fails (``RumbleConfig.codegen`` / ``RUMBLE_CODEGEN``,
-  which also requires pushdown + columnar) so the interpreter stays the
-  untouched reference path.
+  whenever the runtime's flags resolve the plan to another sink
+  (``RumbleConfig.codegen`` / ``RUMBLE_CODEGEN``, which also requires
+  pushdown + columnar) so the interpreter stays the untouched reference
+  path.
 
 Specialization is type-driven (PR 3): when static inference proved both
 operands single-numeric (``BinaryArithmeticIterator.static_numeric``)
@@ -32,16 +33,10 @@ errors and edge cases stay byte-identical by construction.
 """
 
 from repro.jsoniq.codegen.emitter import Unsupported, emit_source
-from repro.jsoniq.codegen.plan import (
-    CodegenPlan,
-    plan_codegen,
-    stage_rdd,
-)
+from repro.jsoniq.codegen.plan import stage_rdd
 
 __all__ = [
-    "CodegenPlan",
     "Unsupported",
     "emit_source",
-    "plan_codegen",
     "stage_rdd",
 ]

@@ -32,15 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-#: Value-comparison spelling -> Python operator.  General comparisons
-#: map onto the same operators through ``_GENERAL_TO_VALUE`` but differ
-#: on empty operands (empty sequence compares FALSE instead of empty).
-_VALUE_OPS = {
-    "eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">=",
-}
-_GENERAL_TO_VALUE = {
-    "=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
-}
+from repro.items.compare import GENERAL_TO_VALUE, VALUE_OPS
 
 
 class Unsupported(Exception):
@@ -282,11 +274,13 @@ class _Emitter:
         return Fragment(var, "number", bool(absent))
 
     def _comparison(self, node, body: List[str], indent: int) -> Fragment:
-        general = node.op in _GENERAL_TO_VALUE
-        value_op = _GENERAL_TO_VALUE.get(node.op, node.op)
-        if value_op not in _VALUE_OPS:
+        # General comparisons map onto the value operators but differ on
+        # empty operands (empty compares FALSE instead of empty).
+        general = node.op in GENERAL_TO_VALUE
+        value_op = GENERAL_TO_VALUE.get(node.op, node.op)
+        if value_op not in VALUE_OPS:
             raise Unsupported("operator " + node.op + " stays interpreted")
-        pyop = _VALUE_OPS[value_op]
+        pyop = VALUE_OPS[value_op][1]
         left = self.value(node.left, body, indent)
         right = self.value(node.right, body, indent)
         if "boolean" in (left.kind, right.kind):

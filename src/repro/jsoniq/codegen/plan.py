@@ -1,23 +1,20 @@
-"""Codegen planning and the generated stage's runtime entry point.
+"""The generated stage's runtime entry point.
 
-``plan_codegen`` is the compile-time half: called from
-``pushdown.annotate`` right after ``plan_columnar``, it decides whether
-the chain fits the whole-stage shape, runs the emitter, and attaches
-the :class:`CodegenPlan` decision record to the head for-clause and the
-return clause (explain() reads it from either end).
+The compile-time half lives with the scan plan: ``pushdown.annotate``
+runs the emitter over every chain that fits the whole-stage shape and
+records the :class:`~repro.jsoniq.codegen.emitter.EmittedStage` (or the
+declined reason) on the chain's
+:class:`~repro.jsoniq.runtime.flwor.pushdown.PushdownPlan`.
 
 ``stage_rdd`` is the runtime half: ``ReturnClauseIterator.get_rdd``
-offers it the chain first; when every gate passes it compiles the
-emitted source (once per plan — the server PlanCache keeps the compiled
-function warm across executions) and maps it over the masked batch RDD.
-Any gate failure returns None and the interpreter runs unchanged.
+offers it the plan first; when the runtime's flags resolve the plan to
+the generated sink it compiles the emitted source (once per plan — the
+server PlanCache keeps the compiled function warm across executions)
+and maps it over the masked batch RDD.  Otherwise it returns None and
+the interpreter runs unchanged.
 """
 
 from __future__ import annotations
-
-from typing import List, Optional
-
-from repro.jsoniq.codegen.emitter import EmittedStage, Unsupported, emit_source
 
 
 class _RuntimeBundle:
@@ -39,169 +36,43 @@ class _RuntimeBundle:
         self.list_column = list_column
 
 
-class CodegenPlan:
-    """The compile-time codegen decision record for one FLWOR chain.
-
-    Like :class:`~repro.jsoniq.runtime.flwor.columnar.ColumnarPlan`,
-    decisions depending on post-``annotate`` state (``plan.count_only``
-    flips after us) are taken lazily in :meth:`describe`.  The compiled
-    function is memoized on the plan — under the server PlanCache the
-    plan object itself is what gets reused, so a warm query shape skips
-    emission *and* ``compile()``.
-    """
-
-    def __init__(self, plan, head, wheres: List[object],
-                 reason: Optional[str] = None,
-                 stage: Optional[EmittedStage] = None):
-        #: The underlying :class:`PushdownPlan`.
-        self.plan = plan
-        #: The leading for-clause iterator (scans the file).
-        self.head = head
-        #: The covered where-clause prefix (already pushed into masks).
-        self.wheres = wheres
-        #: Why emission was declined, or None when supported.
-        self.reason = reason
-        #: The emitter's product when supported.
-        self.stage = stage
-        self._function = None
-
-    @property
-    def supported(self) -> bool:
-        return self.reason is None
-
-    @property
-    def source(self) -> Optional[str]:
-        return self.stage.source if self.stage is not None else None
-
-    def function(self, obs=None):
-        """The compiled stage function (memoized on the plan)."""
-        if self._function is None:
-            namespace = {}
-            code = compile(
-                self.stage.source,
-                "<codegen:${}>".format(self.plan.variable),
-                "exec",
-            )
-            exec(code, namespace)
-            self._function = namespace["_codegen_stage"]
-            if obs is not None:
-                obs.metrics.counter("rumble.codegen.compiled").inc()
-        elif obs is not None:
-            obs.metrics.counter("rumble.codegen.cache_hits").inc()
-        return self._function
-
-    def describe(self) -> List[str]:
-        """Explain lines (lazy — see class docstring)."""
-        if self.reason is not None:
-            return ["codegen: declined ({})".format(self.reason)]
-        if self.plan.count_only:
-            return ["codegen: idle (count kernel serves this consumer)"]
-        return [
-            "codegen: whole-stage loop ({} where mask{}; {})".format(
-                len(self.wheres),
-                "" if len(self.wheres) == 1 else "s",
-                self.stage.summary,
-            )
-        ]
-
-
-def plan_codegen(head, return_iterator, plan) -> None:
-    """Attach the codegen plan to a compiled chain.
-
-    Called by ``pushdown.annotate`` right after ``plan_columnar`` and
-    before the top-k rewrite, so the chain is still the plain clause
-    list.  Always attaches a plan — declined ones carry the reason for
-    explain().
-    """
-    from repro.jsoniq.runtime.flwor.clauses import WhereClauseIterator
-
-    chain = []
-    clause = return_iterator.input_clause
-    while clause is not None and clause is not head:
-        chain.append(clause)
-        clause = getattr(clause, "input_clause", None)
-    if clause is not head:
-        return
-    chain.reverse()
-
-    wheres = []
-    position = 0
-    while (
-        position < len(chain)
-        and isinstance(chain[position], WhereClauseIterator)
-        and chain[position].pushdown_plan is plan
-    ):
-        wheres.append(chain[position])
-        position += 1
-    rest = chain[position:]
-
-    reason = None
-    stage = None
-    if head.position_variable is not None:
-        reason = "positional for-variable"
-    elif head.allowing_empty:
-        reason = "allowing empty"
-    elif not hasattr(head.expression, "get_rdd_columnar"):
-        reason = "scan source has no columnar reader"
-    elif rest:
-        reason = "{} between scan and return".format(
-            type(rest[0]).__name__
+def _stage_function(plan, obs=None):
+    """The compiled stage function, memoized on the plan: under the
+    server PlanCache the plan object itself is what gets reused, so a
+    warm query shape skips emission *and* ``compile()``."""
+    if plan.stage_function is None:
+        namespace = {}
+        code = compile(
+            plan.stage.source,
+            "<codegen:${}>".format(plan.variable),
+            "exec",
         )
-    else:
-        try:
-            stage = emit_source(
-                plan.variable, wheres, return_iterator.expression
-            )
-        except Unsupported as unsupported:
-            reason = str(unsupported)
-
-    cgplan = CodegenPlan(plan, head, wheres, reason, stage)
-    head.codegen_plan = cgplan
-    return_iterator.codegen_plan = cgplan
+        exec(code, namespace)
+        plan.stage_function = namespace["_codegen_stage"]
+        if obs is not None:
+            obs.metrics.counter("rumble.codegen.compiled").inc()
+    elif obs is not None:
+        obs.metrics.counter("rumble.codegen.cache_hits").inc()
+    return plan.stage_function
 
 
-def _codegen_on(context) -> bool:
-    """The runtime gate: codegen rides the columnar batch scan, so both
-    switches must be on for the generated loop to run."""
-    from repro.core.config import codegen_enabled, columnar_enabled
-
-    runtime = context.runtime
-    if runtime is None:
-        return False
-    return codegen_enabled(runtime.config) and columnar_enabled(
-        runtime.config
-    )
-
-
-def stage_rdd(return_iterator, context):
-    """The generated stage's RDD, or None to run the interpreter.
-
-    Mirrors the count kernel's gating: compile-time support recorded on
-    the plan, runtime switches, a single-scan head and no top-k rewrite
-    (top-k replaces the return clause's input, breaking the chain the
-    source was emitted for).
-    """
+def stage_rdd(plan, expression, context):
+    """The generated stage's RDD over ``plan``'s batches (``expression``
+    is the return expression the stage was emitted for), or None to run
+    the interpreter."""
     from repro.items.columnar import ABSENT, ListColumn
     from repro.jsoniq.jsonlines import _wrap_fast
     from repro.jsoniq.runtime.base import _obs_of
     from repro.jsoniq.runtime.flwor.clauses import _row_context
     from repro.jsoniq.runtime.flwor.columnar import _build_recheck
+    from repro.jsoniq.runtime.flwor.pushdown import SINK_GENERATED
 
-    cgplan = getattr(return_iterator, "codegen_plan", None)
-    if cgplan is None or not cgplan.supported:
+    batches = plan.batches(context, SINK_GENERATED)
+    if batches is None:
         return None
-    head = cgplan.head
-    if (
-        not _codegen_on(context)
-        or head.input_clause is not None
-        or return_iterator.topk is not None
-    ):
-        return None
-    plan = cgplan.plan
     variable = plan.variable
-    expression = return_iterator.expression
     obs = _obs_of(context)
-    function = cgplan.function(obs)
+    function = _stage_function(plan, obs)
     if obs is not None:
         obs.metrics.counter("rumble.codegen.taken").inc()
         fallback_rows = obs.metrics.counter("rumble.codegen.fallback_rows")
@@ -216,19 +87,17 @@ def stage_rdd(return_iterator, context):
     bundle = _RuntimeBundle(
         wrap=_wrap_fast,
         ref_emit=ref_emit,
-        recheck=_build_recheck(cgplan.wheres, context),
+        recheck=_build_recheck(plan.wheres, context),
         fallback_rows=fallback_rows,
         params=tuple(
             node.materialize_local(context)[0].to_python()
-            for node in cgplan.stage.params
+            for node in plan.stage.params
         ),
         absent=ABSENT,
         list_column=ListColumn,
     )
-    batches = head.expression.get_rdd_columnar(context, plan)
 
     def run(parts):
         return function(parts, bundle)
 
-    run._columnar_label = "codegen[${}]".format(variable)
     return batches.map_partitions(run)

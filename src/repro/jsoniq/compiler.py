@@ -514,18 +514,18 @@ class Compiler:
                 result = ReturnClauseIterator(
                     chain, self.compile(clause.expression)
                 )
-                # Scan pushdown + top-k planning (dormant until a runtime
-                # with config.pushdown enables them).
+                # Scan + top-k planning (dormant until a runtime's
+                # optimizer flags enable them).
                 from repro.jsoniq.runtime.flwor import pushdown
 
                 pushdown.annotate(node, result)
-                cgplan = getattr(result, "codegen_plan", None)
-                if cgplan is not None and cgplan.supported:
+                plan = result.pushdown_plan
+                if plan is not None and plan.stage is not None:
                     # Surface the emitter's per-shape specialization
                     # tally next to the static-fastpath stats; the
                     # profiler splits the ``codegen_`` prefix back out
                     # as ``rumble.codegen.specialized`` counters.
-                    for kind, fired in cgplan.stage.specializations.items():
+                    for kind, fired in plan.stage.specializations.items():
                         key = "codegen_" + kind
                         self.stats[key] = self.stats.get(key, 0) + fired
                 return result

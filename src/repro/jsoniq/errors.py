@@ -89,9 +89,3 @@ class OutOfMemorySimulated(DynamicException):
     """
 
     default_code = "SENR0001"
-
-
-class UnsupportedFeature(StaticException):
-    """A JSONiq feature outside the supported subset was used."""
-
-    default_code = "XQST0031"

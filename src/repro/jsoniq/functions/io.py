@@ -45,12 +45,12 @@ def _parse_settings(runtime):
     )
 
 
-def _json_lines_reader(runtime, mode: str, corrupt_field: str):
-    """A partition-mapper decoding JSON lines under ``mode``, reporting
-    every tolerated malformed line to the context's fault ledger."""
+def _malformed_hook(faults, mode: str):
+    """The ``on_malformed`` callback reporting every tolerated malformed
+    line to the fault ledger (None under ``failfast``: nothing is
+    tolerated)."""
     if mode == "failfast":
-        return iter_json_lines
-    faults = runtime.spark.spark_context.faults
+        return None
     kind = (
         "malformed_dropped" if mode == "dropmalformed"
         else "malformed_captured"
@@ -60,6 +60,15 @@ def _json_lines_reader(runtime, mode: str, corrupt_field: str):
         faults.record(
             kind, "MalformedRecord", mode=mode, reason=str(error)[:120]
         )
+
+    return on_malformed
+
+
+def _json_lines_reader(on_malformed, mode: str, corrupt_field: str):
+    """A partition-mapper decoding JSON lines under ``mode``, reporting
+    tolerated malformed lines to ``on_malformed``."""
+    if mode == "failfast":
+        return iter_json_lines
 
     def read(lines) -> Iterator[Item]:
         return iter_json_lines(
@@ -89,18 +98,10 @@ class JsonFileIterator(RuntimeIterator):
         return True
 
     def get_rdd(self, context: DynamicContext):
-        runtime, path, min_partitions = self._resolve(context)
-        mode, corrupt_field = _parse_settings(runtime)
-        lines = runtime.spark.spark_context.text_file(
-            path, min_partitions,
-            decode_errors="strict" if mode == "failfast" else "replace",
-        )
-        return lines.map_partitions(
-            _json_lines_reader(runtime, mode, corrupt_field)
-        )
+        return self.scan(context)
 
     def _resolve(self, context: DynamicContext):
-        """(runtime, path, min_partitions) shared by both read paths."""
+        """(runtime, path, min_partitions) of this read."""
         runtime = _runtime(context)
         path = _one_string_argument(self.path, context, "json-file")
         min_partitions = None
@@ -115,104 +116,22 @@ class JsonFileIterator(RuntimeIterator):
             min_partitions = int(partitions_item.value)
         return runtime, path, min_partitions
 
-    def get_rdd_pushed(self, context: DynamicContext, plan):
-        """The pushdown read path (see flwor/pushdown.py): min/max file
-        pruning, then per-record predicate pruning and projection applied
-        on the decoded dicts before items are built."""
-        from repro.jsoniq.jsonlines import iter_json_lines_pushed
-        from repro.jsoniq.runtime.base import _obs_of
-        from repro.spark import storage
-        from repro.spark.rdd import RDD
+    def scan(self, context: DynamicContext, plan=None, batches: bool = False):
+        """The one physical scan of the file, under ``plan`` (a
+        :class:`~repro.jsoniq.runtime.flwor.pushdown.PushdownPlan`; None
+        reads everything and prunes nothing).
 
-        runtime, path, min_partitions = self._resolve(context)
-        mode, corrupt_field = _parse_settings(runtime)
-        context_ = runtime.spark.spark_context
-        blocks, pruned_files = storage.split_input_pruned(
-            path,
-            min_partitions=min_partitions,
-            block_size=int(context_.conf.get("spark.storage.blockSize")),
-            range_predicates=plan.range_predicates,
-        )
-        obs = _obs_of(context)
-        if obs is not None:
-            obs.metrics.counter("rumble.pushdown.scans").inc()
-            if pruned_files:
-                obs.metrics.counter(
-                    "rumble.pushdown.files_pruned"
-                ).inc(pruned_files)
-        if not blocks:
-            return context_.empty_rdd()
-        decode_errors = "strict" if mode == "failfast" else "replace"
-
-        def compute(split: int):
-            return blocks[split].read_lines(decode_errors=decode_errors)
-
-        lines = RDD(
-            context_, compute, len(blocks),
-            name="textFile(pushed:{})".format(path),
-        )
-        predicates = tuple(
-            predicate.raw for predicate in plan.predicates
-        )
-        projection = plan.effective_projection()  # logged, not applied:
-        # lazy item wrapping already defers unreferenced keys.
-        on_malformed = None
-        if mode != "failfast":
-            faults = context_.faults
-            kind = (
-                "malformed_dropped" if mode == "dropmalformed"
-                else "malformed_captured"
-            )
-
-            def on_malformed(line, error):
-                faults.record(
-                    kind, "MalformedRecord", mode=mode,
-                    reason=str(error)[:120],
-                )
-
-        on_pruned = None
-        if obs is not None:
-            pruned_counter = obs.metrics.counter(
-                "rumble.pushdown.records_pruned"
-            )
-            on_pruned = pruned_counter.inc
-            if projection is not None:
-                obs.metrics.counter("rumble.pushdown.projections").inc()
-            if predicates:
-                obs.metrics.counter(
-                    "rumble.pushdown.predicates"
-                ).inc(len(predicates))
-
-        def read(lines_iter) -> Iterator[Item]:
-            return iter_json_lines_pushed(
-                lines_iter,
-                predicates=predicates,
-                mode=mode,
-                corrupt_field=corrupt_field,
-                on_malformed=on_malformed,
-                on_pruned=on_pruned,
-            )
-
-        return lines.map_partitions(read)
-
-    def get_rdd_columnar(self, context: DynamicContext, plan):
-        """The vectorized scan: one :class:`MaskedBatch` per file block.
-
-        Result-identical to :meth:`get_rdd_pushed` by construction —
-        same file pruning, same decode, same three-valued predicate
-        semantics (vectorized into per-column masks) — so it reports the
-        same ``rumble.pushdown.*`` counters *plus* the
-        ``rumble.columnar.*`` family.  Consumers box surviving rows at
-        the boundary (:meth:`MaskedBatch.iter_boxed`) or run batch
-        kernels over the columns directly.
-
-        Shredded batches are cached process-wide by block fingerprint,
-        but only under ``failfast`` parsing: the tolerant modes report
-        every malformed line to the fault ledger per scan, which a cache
-        hit would silence.
+        The item form decodes each block's lines straight to items,
+        pruning records a pushed predicate definitely rejects before any
+        item is built.  With ``batches`` each block instead becomes one
+        :class:`~repro.items.columnar.MaskedBatch` — same decode, same
+        three-valued predicate semantics (vectorized into per-column
+        masks) — whose consumers box surviving rows at the boundary
+        (:meth:`MaskedBatch.iter_boxed`) or run batch kernels over the
+        columns directly.  Both forms report the same
+        ``rumble.pushdown.*`` counters; the batch form adds the
+        ``rumble.columnar.*`` family.
         """
-        from repro.items.columnar import BATCH_CACHE, PRUNED, MaskedBatch
-        from repro.jsoniq.jsonlines import shred_json_lines
         from repro.jsoniq.runtime.base import _obs_of
         from repro.spark import storage
         from repro.spark.rdd import RDD
@@ -220,30 +139,74 @@ class JsonFileIterator(RuntimeIterator):
         runtime, path, min_partitions = self._resolve(context)
         mode, corrupt_field = _parse_settings(runtime)
         context_ = runtime.spark.spark_context
-        blocks, pruned_files = storage.split_input_pruned(
+        blocks = storage.split_input(
             path,
             min_partitions=min_partitions,
             block_size=int(context_.conf.get("spark.storage.blockSize")),
-            range_predicates=plan.range_predicates,
         )
+        predicates = tuple(plan.predicates) if plan is not None else ()
         obs = _obs_of(context)
-        predicates = tuple(plan.predicates)
-        projection = plan.effective_projection()
-        counters = None
-        if obs is not None:
-            metrics = obs.metrics
+        metrics = obs.metrics if obs is not None and plan is not None else None
+        records_pruned = None
+        if metrics is not None:
             metrics.counter("rumble.pushdown.scans").inc()
-            metrics.counter("rumble.columnar.scans").inc()
-            if pruned_files:
-                metrics.counter(
-                    "rumble.pushdown.files_pruned"
-                ).inc(pruned_files)
-            if projection is not None:
+            # The projection is logged, not applied: lazy item wrapping
+            # already defers unreferenced keys.
+            if plan.effective_projection() is not None:
                 metrics.counter("rumble.pushdown.projections").inc()
             if predicates:
                 metrics.counter(
                     "rumble.pushdown.predicates"
                 ).inc(len(predicates))
+            records_pruned = metrics.counter("rumble.pushdown.records_pruned")
+        if not blocks:
+            return context_.empty_rdd()
+        decode_errors = "strict" if mode == "failfast" else "replace"
+        on_malformed = _malformed_hook(context_.faults, mode)
+
+        def read_block(split: int):
+            return blocks[split].read_lines(decode_errors=decode_errors)
+
+        if not batches:
+            lines = RDD(
+                context_, read_block, len(blocks),
+                name="textFile({})".format(path),
+            )
+            if plan is None:
+                return lines.map_partitions(
+                    _json_lines_reader(on_malformed, mode, corrupt_field)
+                )
+            from repro.jsoniq.jsonlines import iter_json_lines_pushed
+
+            raw_predicates = tuple(
+                predicate.raw for predicate in predicates
+            )
+            on_pruned = (
+                records_pruned.inc if records_pruned is not None else None
+            )
+
+            def read(lines_iter) -> Iterator[Item]:
+                return iter_json_lines_pushed(
+                    lines_iter,
+                    predicates=raw_predicates,
+                    mode=mode,
+                    corrupt_field=corrupt_field,
+                    on_malformed=on_malformed,
+                    on_pruned=on_pruned,
+                )
+
+            return lines.map_partitions(read)
+
+        # The batch reader.  Shredded batches are cached process-wide by
+        # block fingerprint, but only under ``failfast`` parsing: the
+        # tolerant modes report every malformed line to the fault ledger
+        # per scan, which a cache hit would silence.
+        from repro.items.columnar import BATCH_CACHE, PRUNED, MaskedBatch
+        from repro.jsoniq.jsonlines import shred_json_lines
+
+        counters = None
+        if metrics is not None:
+            metrics.counter("rumble.columnar.scans").inc()
             counters = {
                 "batches": metrics.counter("rumble.columnar.batches"),
                 "shredded": metrics.counter("rumble.columnar.shredded_rows"),
@@ -254,28 +217,9 @@ class JsonFileIterator(RuntimeIterator):
                     "rumble.columnar.mask_selected"
                 ),
                 "cache_hits": metrics.counter("rumble.columnar.cache_hits"),
-                "records_pruned": metrics.counter(
-                    "rumble.pushdown.records_pruned"
-                ),
+                "records_pruned": records_pruned,
             }
-        if not blocks:
-            return context_.empty_rdd()
-        decode_errors = "strict" if mode == "failfast" else "replace"
         cacheable = mode == "failfast"
-        on_malformed = None
-        if mode != "failfast":
-            faults = context_.faults
-            kind = (
-                "malformed_dropped" if mode == "dropmalformed"
-                else "malformed_captured"
-            )
-
-            def on_malformed(line, error):
-                faults.record(
-                    kind, "MalformedRecord", mode=mode,
-                    reason=str(error)[:120],
-                )
-
         ledger = getattr(context_, "columnar", None)
 
         def compute(split: int):
@@ -292,7 +236,7 @@ class JsonFileIterator(RuntimeIterator):
             hit = batch is not None
             if batch is None:
                 batch = shred_json_lines(
-                    block.read_lines(decode_errors=decode_errors),
+                    read_block(split),
                     mode=mode,
                     corrupt_field=corrupt_field,
                     on_malformed=on_malformed,
@@ -452,8 +396,11 @@ class CollectionIterator(RuntimeIterator):
                 binding,
                 decode_errors="strict" if mode == "failfast" else "replace",
             )
+            on_malformed = _malformed_hook(
+                runtime.spark.spark_context.faults, mode
+            )
             rdd = lines.map_partitions(
-                _json_lines_reader(runtime, mode, corrupt_field)
+                _json_lines_reader(on_malformed, mode, corrupt_field)
             )
         else:
             items = [

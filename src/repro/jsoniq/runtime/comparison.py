@@ -12,31 +12,14 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.items import FALSE, TRUE, Item, value_compare
+from repro.items.compare import GENERAL_TO_VALUE, VALUE_OPS
 from repro.jsoniq.errors import TypeException
 from repro.jsoniq.runtime.base import RuntimeIterator
 from repro.jsoniq.runtime.dynamic_context import DynamicContext
 
-_VALUE_OPS = {"eq", "ne", "lt", "le", "gt", "ge"}
-_GENERAL_TO_VALUE = {
-    "=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
-}
-
 
 def _apply(op: str, left: Item, right: Item) -> bool:
-    result = value_compare(left, right)
-    if op == "eq":
-        return result == 0
-    if op == "ne":
-        return result != 0
-    if op == "lt":
-        return result < 0
-    if op == "le":
-        return result <= 0
-    if op == "gt":
-        return result > 0
-    if op == "ge":
-        return result >= 0
-    raise ValueError("unknown comparison " + op)
+    return VALUE_OPS[op][0](value_compare(left, right), 0)
 
 
 class ComparisonIterator(RuntimeIterator):
@@ -53,7 +36,7 @@ class ComparisonIterator(RuntimeIterator):
         self.static_atomic = static_atomic
 
     def _generate(self, context: DynamicContext) -> Iterator[Item]:
-        if self.op in _VALUE_OPS:
+        if self.op in VALUE_OPS:
             yield from self._value_comparison(context)
         else:
             yield from self._general_comparison(context)
@@ -73,7 +56,7 @@ class ComparisonIterator(RuntimeIterator):
         yield TRUE if _apply(self.op, left, right) else FALSE
 
     def _general_comparison(self, context: DynamicContext) -> Iterator[Item]:
-        value_op = _GENERAL_TO_VALUE[self.op]
+        value_op = GENERAL_TO_VALUE[self.op]
         left_items = self.left.materialize(context)
         right_items = self.right.materialize(context)
         for left in left_items:

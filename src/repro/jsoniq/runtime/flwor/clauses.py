@@ -174,12 +174,8 @@ def _make_fast_predicate(condition: RuntimeIterator):
     where-conditions — the predicate shape of every selection in the
     paper's workloads.  Returns ``None`` when the condition is not of
     that shape (the generic EVALUATE_EXPRESSION path handles it)."""
-    from repro.jsoniq.runtime.comparison import (
-        ComparisonIterator,
-        _GENERAL_TO_VALUE,
-        _VALUE_OPS,
-        _apply,
-    )
+    from repro.items.compare import GENERAL_TO_VALUE, VALUE_OPS
+    from repro.jsoniq.runtime.comparison import ComparisonIterator, _apply
     from repro.jsoniq.runtime.primary import LiteralIterator
 
     if not FAST_PATHS_ENABLED or not isinstance(condition, ComparisonIterator):
@@ -199,8 +195,8 @@ def _make_fast_predicate(condition: RuntimeIterator):
     if left is None or right is None:
         return None
     op = condition.op
-    value_comparison = op in _VALUE_OPS
-    value_op = op if value_comparison else _GENERAL_TO_VALUE[op]
+    value_comparison = op in VALUE_OPS
+    value_op = op if value_comparison else GENERAL_TO_VALUE[op]
 
     def predicate(row: Dict[str, object]) -> bool:
         left_items = left(row)
@@ -239,15 +235,10 @@ class ForClauseIterator(ClauseIterator):
 
     expands = True
 
-    #: Attached by :mod:`repro.jsoniq.runtime.flwor.pushdown` when this is
-    #: the leading clause of a pushdown-eligible chain.
+    #: The chain's scan plan, attached by
+    #: :mod:`repro.jsoniq.runtime.flwor.pushdown` when this is the leading
+    #: clause of a ``json-file()`` chain with anything to push.
     pushdown_plan = None
-    #: Attached by :mod:`repro.jsoniq.runtime.flwor.columnar` alongside the
-    #: pushdown plan (the columnar decision record for explain + kernels).
-    columnar_plan = None
-    #: Attached by :mod:`repro.jsoniq.codegen` alongside the pushdown plan
-    #: (the whole-stage codegen decision record for explain + the stage).
-    codegen_plan = None
 
     def __init__(
         self,
@@ -295,42 +286,13 @@ class ForClauseIterator(ClauseIterator):
             return self.expression.is_rdd(context)
         return self.input_clause.supports_dataframe(context)
 
-    @staticmethod
-    def _columnar_on(runtime) -> bool:
-        from repro.core.config import columnar_enabled
-
-        return columnar_enabled(runtime.config)
-
     def get_dataframe(self, context: DynamicContext) -> DataFrame:
         runtime = context.runtime
         obs = _obs_of(context)
         if self.input_clause is None:
             plan = self.pushdown_plan
-            if (
-                plan is not None
-                and plan.predicates
-                and getattr(runtime.config, "pushdown", True)
-                and hasattr(self.expression, "get_rdd_columnar")
-                and self._columnar_on(runtime)
-            ):
-                # The masked batch scan: predicates run as per-column
-                # masks over shredded batches; only surviving rows box
-                # at this boundary (verified ones pre-proved, exactly
-                # like the pushed row scan's pushdown_verified marks).
-                batches = self.expression.get_rdd_columnar(context, plan)
-
-                def unbox(masked_batches):
-                    for masked in masked_batches:
-                        yield from masked.iter_boxed()
-
-                unbox._columnar_label = "unbox[${}]".format(self.variable)
-                rdd = batches.map_partitions(unbox)
-            elif (
-                plan is not None
-                and getattr(runtime.config, "pushdown", True)
-                and hasattr(self.expression, "get_rdd_pushed")
-            ):
-                rdd = self.expression.get_rdd_pushed(context, plan)
+            if plan is not None:
+                rdd = plan.items(context)
             else:
                 rdd = self.expression.get_rdd(context)
             variable = self.variable
@@ -629,9 +591,7 @@ class WhereClauseIterator(ClauseIterator):
                 )
 
         plan = self.pushdown_plan
-        if plan is not None and getattr(
-            context.runtime.config, "pushdown", True
-        ):
+        if plan is not None and context.runtime.flags.pushdown:
             variable = plan.variable
             checked = predicate
 
@@ -687,7 +647,7 @@ class GroupByClauseIterator(ClauseIterator):
     the usage analysis allows (``variable_usage``).
     """
 
-    #: Attached by :mod:`repro.jsoniq.runtime.flwor.columnar` when this
+    #: Attached by :mod:`repro.jsoniq.runtime.flwor.pushdown` when this
     #: group-by can pre-aggregate masked batches into partial rows.
     columnar_kernel = None
 
@@ -774,12 +734,11 @@ class GroupByClauseIterator(ClauseIterator):
             # from masked batches (one per partition and key, counts
             # pre-aggregated), same columns the reference ``encode``
             # emits — the group/aggregate/order machinery below merges
-            # them unchanged.  None = gate closed, take the row path.
+            # them unchanged.  None = flags rule it out, take the row path.
             encoded = kernel.partial_rows(context)
             if encoded is not None:
                 return self._aggregate_encoded(
-                    context, encoded, [kernel.cplan.plan.variable],
-                    key_names,
+                    context, encoded, [kernel.plan.variable], key_names
                 )
         frame = self.input_clause.get_dataframe(context)
 
@@ -1133,13 +1092,12 @@ class ReturnClauseIterator(RuntimeIterator):
     DataFrames.
     """
 
-    #: Attached by :mod:`repro.jsoniq.runtime.flwor.pushdown`.
+    #: Attached by :mod:`repro.jsoniq.runtime.flwor.pushdown`: the
+    #: chain's scan plan and the top-k rewrite (at most one of the count,
+    #: generated and top-k paths applies — a rewritten chain has clauses
+    #: between the covered wheres and this return).
     pushdown_plan = None
     topk = None
-    #: Attached by :mod:`repro.jsoniq.runtime.flwor.columnar`.
-    columnar_plan = None
-    #: Attached by :mod:`repro.jsoniq.codegen`.
-    codegen_plan = None
 
     def __init__(self, input_clause: ClauseIterator,
                  expression: RuntimeIterator):
@@ -1181,18 +1139,21 @@ class ReturnClauseIterator(RuntimeIterator):
         reference ``get_rdd().count()`` (see flwor/columnar.py)."""
         from repro.jsoniq.runtime.flwor.columnar import rdd_count
 
-        return rdd_count(self, context)
+        plan = self.pushdown_plan
+        return rdd_count(plan, context) if plan is not None else None
 
     def get_rdd(self, context: DynamicContext):
         from repro.jsoniq.codegen import stage_rdd
 
         # Whole-stage codegen first: one generated loop straight over
         # the masked batches replaces the unbox → bind → evaluate
-        # pipeline below.  None means some gate failed — the
-        # interpreted path stays the untouched reference.
-        staged = stage_rdd(self, context)
-        if staged is not None:
-            return staged
+        # pipeline below.  None means the plan resolved to another sink
+        # — the interpreted path stays the untouched reference.
+        plan = self.pushdown_plan
+        if plan is not None:
+            staged = stage_rdd(plan, self.expression, context)
+            if staged is not None:
+                return staged
         frame = self.input_clause.get_dataframe(context)
         expression = self.expression
         obs = _obs_of(context)

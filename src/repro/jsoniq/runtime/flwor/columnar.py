@@ -1,109 +1,42 @@
-"""Columnar consumers of the pushdown plan: the batch protocol.
+"""Columnar consumers of the scan plan: the batch kernels.
 
-:func:`plan_columnar` runs at compile time (from
-:func:`repro.jsoniq.runtime.flwor.pushdown.annotate`) over a freshly
-compiled FLWOR chain that carries a pushdown plan.  It attaches a
-:class:`ColumnarPlan` to the head for-clause and the return clause, and
-— when the chain's shape allows — a batch *kernel* to the consumer
-clause:
+A :class:`~repro.jsoniq.runtime.flwor.pushdown.PushdownPlan` hands its
+:class:`~repro.items.columnar.MaskedBatch` RDD to one of these sinks
+(``pushdown.annotate`` decides at compile time which ones the chain's
+shape admits; ``plan.batches`` decides at run time whether the flags
+allow it):
 
-* **masked batch scan** — the leading for-clause scans
-  :class:`~repro.items.columnar.MaskedBatch` es and boxes only surviving
-  rows at the boundary (the default columnar mode whenever predicates
-  were pushed; see ``ForClauseIterator.get_dataframe``);
 * **count kernel** — ``count(for $v in json-file(...) where ... return
   $v)`` sums per-batch verdict counts without boxing a single verified
-  row (``ReturnClauseIterator.rdd_count``);
+  row (:func:`rdd_count`, from ``ReturnClauseIterator.rdd_count``);
 * **group-by count kernel** — a group-by on ``$v.key`` keys whose
   non-grouping variable is only counted pre-aggregates each batch into
   one partial row per (partition, key), feeding the existing
   shuffle/aggregation machinery with per-key counts instead of per-row
-  tuples (``GroupByClauseIterator.get_dataframe``).
+  tuples (:class:`GroupByCountKernel`, from
+  ``GroupByClauseIterator.get_dataframe``).
 
-Rows a mask could not decide (``RETAINED``) and escaped rows are boxed
-and re-checked through the *original* where conditions, so semantics —
-errors included — match the reference row path exactly.  Everything is
-gated at run time by :func:`repro.core.config.columnar_enabled` (which
-also requires ``config.pushdown``); the row path stays the untouched
-reference.
+(The default sink — boxing surviving rows for the clause iterators — is
+``PushdownPlan.items``; the generated loop is jsoniq/codegen/.)  Rows a
+mask could not decide (``RETAINED``) and escaped rows are boxed and
+re-checked through the *original* where conditions, so semantics —
+errors included — match the reference row path exactly.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.items.columnar import ABSENT, PRUNED, VERIFIED
+from repro.items.compare import (
+    CODE_FALSE,
+    CODE_NULL,
+    CODE_NUMBER,
+    CODE_STRING,
+    CODE_TRUE,
+    EMPTY_LEAST,
+)
 from repro.jsoniq.errors import TypeException
-
-#: repro.items.compare type codes, used to encode grouping keys straight
-#: from raw column values (bool is checked before int: True == 1).
-_CODE_EMPTY = 1
-_CODE_NULL = 2
-_CODE_TRUE = 3
-_CODE_FALSE = 4
-_CODE_STRING = 5
-_CODE_NUMBER = 6
-
-
-def _columnar_on(context) -> bool:
-    """The runtime gate every columnar consumer checks."""
-    from repro.core.config import columnar_enabled
-
-    runtime = context.runtime
-    if runtime is None:
-        return False
-    return columnar_enabled(runtime.config)
-
-
-class ColumnarPlan:
-    """The compile-time columnar decision record for one FLWOR chain.
-
-    Decisions that depend on post-``annotate`` state (the compiler flips
-    ``plan.count_only`` after us) are taken lazily — :meth:`describe`
-    and the runtime kernels re-read the pushdown plan every time.
-    """
-
-    def __init__(self, plan, head, wheres: List[object]):
-        #: The underlying :class:`PushdownPlan`.
-        self.plan = plan
-        #: The leading for-clause iterator (scans the file).
-        self.head = head
-        #: The covered where-clause prefix, forward order: every one was
-        #: compiled into a pushed predicate, so they are exactly the
-        #: conditions a ``RETAINED`` row must be re-checked against.
-        self.wheres = wheres
-        #: True when nothing but covered wheres sits between the head
-        #: and the return clause — the count kernel fires iff the
-        #: compiler also proves the FLWOR is only ever counted.
-        self.count_candidate = False
-        #: Set when the consumer is a kernel-eligible group-by.
-        self.group_kernel: Optional[GroupByCountKernel] = None
-
-    def describe(self) -> List[str]:
-        """Explain lines (evaluated lazily — see class docstring)."""
-        if self.group_kernel is not None:
-            return [
-                "columnar: group-by count kernel over masked scan "
-                "(keys: {})".format(
-                    ", ".join(
-                        "${} := ${}.{}".format(name, self.plan.variable, key)
-                        for name, key in self.group_kernel.keys
-                    )
-                )
-            ]
-        if self.count_candidate and self.plan.count_only:
-            return ["columnar: count kernel over masked scan"]
-        if self.plan.predicates:
-            return [
-                "columnar: masked batch scan ({} predicate mask{})".format(
-                    len(self.plan.predicates),
-                    "" if len(self.plan.predicates) == 1 else "s",
-                )
-            ]
-        return [
-            "columnar: declined (no pushed predicate masks; row scan "
-            "retained)"
-        ]
 
 
 class GroupByCountKernel:
@@ -118,33 +51,53 @@ class GroupByCountKernel:
     group/aggregate/order machinery merges them unchanged.
     """
 
-    def __init__(self, cplan: ColumnarPlan, keys, usage: str):
-        self.cplan = cplan
+    def __init__(self, plan, keys, usage: str):
+        #: The chain's :class:`PushdownPlan`.
+        self.plan = plan
         #: [(grouping-variable name, raw record key)] in clause order.
         self.keys = keys
         self.usage = usage
 
+    @classmethod
+    def for_clause(cls, plan, groupby) -> Optional["GroupByCountKernel"]:
+        """The kernel for ``groupby`` (the first clause after the plan's
+        covered where prefix), or None when its shape is not eligible."""
+        from repro.jsoniq.runtime.flwor.clauses import (
+            USAGE_COUNT_ONLY,
+            USAGE_MATERIALIZE,
+            USAGE_UNUSED,
+        )
+        from repro.jsoniq.runtime.flwor.pushdown import _iterator_operand
+
+        keys = []
+        for name, expression in groupby.keys:
+            spec = (
+                _iterator_operand(expression, plan.variable)
+                if expression is not None else None
+            )
+            if spec is None or spec[0] != "key" or name == plan.variable:
+                return None
+            keys.append((name, spec[1]))
+        usage = groupby.variable_usage.get(plan.variable, USAGE_MATERIALIZE)
+        if usage not in (USAGE_COUNT_ONLY, USAGE_UNUSED):
+            return None
+        return cls(plan, keys, usage)
+
     def partial_rows(self, context):
-        """The RDD of partial rows, or None when the runtime gate or
-        scan capability rules the kernel out (caller falls back to the
-        reference path)."""
+        """The RDD of partial rows, or None when the runtime's flags rule
+        the kernel out (caller falls back to the reference path)."""
         from repro.jsoniq.runtime.base import _obs_of
         from repro.jsoniq.runtime.flwor.clauses import (
             USAGE_COUNT_ONLY,
         )
+        from repro.jsoniq.runtime.flwor.pushdown import SINK_GROUP
         from repro.jsoniq.runtime.flwor.tuples import CountedSequence
 
-        cplan = self.cplan
-        head = cplan.head
-        if (
-            not _columnar_on(context)
-            or head.input_clause is not None
-            or not hasattr(head.expression, "get_rdd_columnar")
-        ):
+        plan = self.plan
+        rdd = plan.batches(context, SINK_GROUP)
+        if rdd is None:
             return None
-        plan = cplan.plan
-        rdd = head.expression.get_rdd_columnar(context, plan)
-        recheck = _build_recheck(cplan.wheres, context)
+        recheck = _build_recheck(plan.wheres, context)
         variable = plan.variable
         count_only = self.usage == USAGE_COUNT_ONLY
         key_specs = tuple(self.keys)
@@ -218,15 +171,15 @@ def _raw_grouping_key(name: str, value):
     """``repro.items.compare.grouping_key`` computed straight from a raw
     column value, with the group-by clause's atomicity errors."""
     if value is ABSENT:
-        return (_CODE_EMPTY, "", 0.0)
+        return (EMPTY_LEAST, "", 0.0)
     if value is None:
-        return (_CODE_NULL, "", 0.0)
-    if isinstance(value, bool):
-        return (_CODE_TRUE if value else _CODE_FALSE, "", 0.0)
+        return (CODE_NULL, "", 0.0)
+    if isinstance(value, bool):  # before int: True == 1
+        return (CODE_TRUE if value else CODE_FALSE, "", 0.0)
     if isinstance(value, str):
-        return (_CODE_STRING, value, 0.0)
+        return (CODE_STRING, value, 0.0)
     if isinstance(value, (int, float)):
-        return (_CODE_NUMBER, "", float(value))
+        return (CODE_NUMBER, "", float(value))
     raise TypeException(
         "grouping variable ${} is not atomic ({})".format(
             name, "array" if isinstance(value, list) else "object"
@@ -268,32 +221,21 @@ def _build_recheck(wheres, context):
     return recheck
 
 
-def rdd_count(return_iterator, context) -> Optional[int]:
+def rdd_count(plan, context) -> Optional[int]:
     """The count kernel: sum per-batch surviving-row counts.
 
     Verified rows are counted without boxing; retained rows box and
-    re-check the covered wheres.  Returns None whenever any gate fails —
-    the caller (``CountIterator``) falls back to the reference
-    ``get_rdd().count()``.
+    re-check the covered wheres.  Returns None when the runtime's flags
+    resolve ``plan`` to another sink — the caller (``CountIterator``)
+    falls back to the reference ``get_rdd().count()``.
     """
     from repro.jsoniq.runtime.base import _obs_of
+    from repro.jsoniq.runtime.flwor.pushdown import SINK_COUNT
 
-    cplan = getattr(return_iterator, "columnar_plan", None)
-    if cplan is None or not cplan.count_candidate:
+    rdd = plan.batches(context, SINK_COUNT)
+    if rdd is None:
         return None
-    plan = cplan.plan
-    if not plan.count_only:
-        return None
-    head = cplan.head
-    if (
-        not _columnar_on(context)
-        or head.input_clause is not None
-        or not hasattr(head.expression, "get_rdd_columnar")
-        or return_iterator.topk is not None
-    ):
-        return None
-    rdd = head.expression.get_rdd_columnar(context, plan)
-    recheck = _build_recheck(cplan.wheres, context)
+    recheck = _build_recheck(plan.wheres, context)
     variable = plan.variable
     obs = _obs_of(context)
     if obs is not None:
@@ -318,76 +260,3 @@ def rdd_count(return_iterator, context) -> Optional[int]:
         yield total
 
     return sum(rdd.map_partitions(count_partition).collect())
-
-
-def plan_columnar(head, return_iterator, plan) -> None:
-    """Attach the columnar plan (and any kernel) to a compiled chain.
-
-    Called by ``pushdown.annotate`` right after the covered wheres are
-    tagged and *before* the top-k rewrite (the chain is still the plain
-    clause list here).
-    """
-    from repro.jsoniq.runtime.flwor.clauses import (
-        GroupByClauseIterator,
-        USAGE_COUNT_ONLY,
-        USAGE_MATERIALIZE,
-        USAGE_UNUSED,
-        WhereClauseIterator,
-    )
-    from repro.jsoniq.runtime.flwor.pushdown import _iterator_operand
-
-    chain = []
-    clause = return_iterator.input_clause
-    while clause is not None and clause is not head:
-        chain.append(clause)
-        clause = getattr(clause, "input_clause", None)
-    if clause is not head:
-        return
-    chain.reverse()
-
-    # The covered-where prefix: exactly the clauses whose conditions the
-    # scan's masks evaluate (everything after it sees boxed rows).
-    wheres = []
-    position = 0
-    while (
-        position < len(chain)
-        and isinstance(chain[position], WhereClauseIterator)
-        and chain[position].pushdown_plan is plan
-    ):
-        wheres.append(chain[position])
-        position += 1
-    rest = chain[position:]
-
-    cplan = ColumnarPlan(plan, head, wheres)
-    if not rest:
-        # Bare `return $v` (or a projection thereof) directly after the
-        # covered prefix: count-kernel candidate if the compiler later
-        # proves the FLWOR is only counted.
-        cplan.count_candidate = plan.bare_return
-    elif isinstance(rest[0], GroupByClauseIterator):
-        groupby = rest[0]
-        keys = []
-        eligible = True
-        for name, expression in groupby.keys:
-            spec = (
-                _iterator_operand(expression, plan.variable)
-                if expression is not None else None
-            )
-            if (
-                spec is None
-                or spec[0] != "key"
-                or name == plan.variable
-            ):
-                eligible = False
-                break
-            keys.append((name, spec[1]))
-        usage = groupby.variable_usage.get(
-            plan.variable, USAGE_MATERIALIZE
-        )
-        if eligible and usage in (USAGE_COUNT_ONLY, USAGE_UNUSED):
-            kernel = GroupByCountKernel(cplan, keys, usage)
-            cplan.group_kernel = kernel
-            groupby.columnar_kernel = kernel
-
-    head.columnar_plan = cplan
-    return_iterator.columnar_plan = cplan

@@ -1,8 +1,9 @@
-"""Scan pushdown and top-k planning for FLWOR chains.
+"""The physical scan plan and top-k planning for FLWOR chains.
 
 The compiler calls :func:`annotate` on every FLWOR it lowers.  When the
 chain starts with ``for $v in json-file(...)`` the analysis derives, from
-the AST alone:
+the AST alone, one :class:`PushdownPlan` — the single description of how
+that file is scanned and what consumes the scan:
 
 * **projection pruning** — the set of top-level keys the rest of the
   chain can ever observe ($v.key lookups).  When the bound item itself
@@ -11,41 +12,39 @@ the AST alone:
   motivation: push projection into the nested-JSON scan);
 * **predicate pushdown** — leading ``where`` conditions of the shape
   ``$v.key <cmp> ($v.key | literal)`` become three-valued *raw*
-  predicates evaluated on the decoded dict before any item is built.
-  Only a definite **False** prunes a record; Unknown (nulls, mixed
-  types, non-scalars) keeps the record so the retained ``where`` clause
-  reproduces the exact reference semantics, type errors included;
-* **partition pruning** — key-vs-literal predicates double as min/max
-  range predicates the storage layer checks against per-file stats
-  sidecars (:func:`repro.spark.storage.split_input_pruned`);
+  predicates evaluated on the decoded dict before any item is built (or
+  as per-column masks over a shredded batch).  Only a definite **False**
+  prunes a record; Unknown (nulls, mixed types, non-scalars) keeps the
+  record so the retained ``where`` clause reproduces the exact reference
+  semantics, type errors included;
+* **the sink** — what the scanned batches feed: boxed item rows, the
+  count kernel, the group-by count kernel (flwor/columnar.py) or the
+  generated whole-stage loop (jsoniq/codegen/);
 * **top-k rewrite** — an ``order by ... count $c where $c le k`` tail
   becomes a :class:`TopKClauseIterator` (per-partition heaps plus a
   driver merge) instead of a full sort.
 
-Everything is gated at run time by ``RumbleConfig.pushdown``; with the
-flag off, execution takes the untouched reference path — what the
-differential and property tests compare against.
+Which of these run is decided by the runtime's resolved
+:class:`~repro.core.config.OptimizerFlags` and by nothing else: the
+clause iterators ask the plan for :meth:`PushdownPlan.items` or
+:meth:`PushdownPlan.batches` and carry no gates of their own.  With
+every flag off, execution takes the untouched reference path — what the
+differential and lattice tests compare against.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
+from repro.items.columnar import ABSENT, scalar_verdict
+from repro.items.compare import GENERAL_TO_VALUE, VALUE_OPS
 from repro.jsoniq import ast
 
-#: Sentinel distinguishing an absent key from a JSON null.
-_MISSING = object()
-
-_VALUE_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
-_GENERAL_TO_VALUE = {
-    "=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
-}
-_PY_OPS = {
-    "eq": operator.eq, "ne": operator.ne,
-    "lt": operator.lt, "le": operator.le,
-    "gt": operator.gt, "ge": operator.ge,
-}
+#: What a plan's scanned batches feed (:meth:`PushdownPlan.sink`).
+SINK_BOX = "box"
+SINK_COUNT = "count"
+SINK_GROUP = "group-partial"
+SINK_GENERATED = "generated"
 
 
 class PushedPredicate:
@@ -64,20 +63,27 @@ class PushedPredicate:
         self.raw = raw
         self.description = description
         #: (left-operand, right-operand, value-op) — used at compile
-        #: time to re-identify the where clause this predicate covers.
+        #: time to re-identify the where clause this predicate covers,
+        #: and by the column masks.
         self.spec = spec
 
 
 class PushdownPlan:
-    """What the leading scan may skip, shared between the leading for
-    clause and the return clause (the ``count()`` consumer flips
-    :attr:`count_only` after compilation)."""
+    """The physical scan plan of one FLWOR chain, shared by every clause
+    it touches (the head for-clause, the covered wheres, a kernel-fed
+    group-by, the return clause).
+
+    :func:`analyse` fills the AST-derived half (predicates, projection);
+    :func:`annotate` wires the compiled chain in (head, source, covered
+    where prefix, sink candidates).  ``count_only`` flips later still —
+    the compiler sets it when ``count(<this flwor>)`` is the sole
+    consumer — so :meth:`sink` and :meth:`describe` are evaluated
+    lazily.
+    """
 
     def __init__(self, variable: str):
         self.variable = variable
         self.predicates: List[PushedPredicate] = []
-        #: (key, value-op, literal) facts for min/max file-stats pruning.
-        self.range_predicates: List[Tuple[str, str, object]] = []
         #: Keys observed via ``$v.key`` anywhere downstream; ``None``
         #: when the whole item escapes regardless of the return clause.
         self.referenced_keys: Optional[Set[str]] = None
@@ -87,6 +93,23 @@ class PushdownPlan:
         #: Set by the compiler when ``count(<this flwor>)`` is the sole
         #: consumer, making the bare return cardinality-only.
         self.count_only = False
+        #: The leading for-clause iterator and the file it scans.
+        self.head = None
+        self.source = None
+        #: The covered where-clause prefix, forward order: every one was
+        #: compiled into a pushed predicate, so they are exactly the
+        #: conditions a ``RETAINED`` row must be re-checked against.
+        self.wheres: List[object] = []
+        #: The clauses between that prefix and the return clause.
+        self.rest: List[object] = []
+        #: Set when ``rest`` opens with a kernel-eligible group-by.
+        self.group_kernel = None
+        #: The emitted whole-stage loop, or why emission was declined.
+        self.stage = None
+        self.declined: Optional[str] = None
+        #: The compiled stage function, memoized here because the plan is
+        #: what the server PlanCache reuses (see codegen/plan.py).
+        self.stage_function = None
 
     def effective_projection(self) -> Optional[List[str]]:
         """The keys the scan must keep, or None for "keep everything"."""
@@ -99,14 +122,96 @@ class PushdownPlan:
             keys.update(predicate.keys)
         return sorted(keys)
 
-    def describe(self) -> List[str]:
+    # -- The sink decision -------------------------------------------------------
+    def sink(self, flags) -> str:
+        """What this chain's batches feed under ``flags``.  Every sink
+        but ``box`` needs the columnar scan; the generated loop needs
+        codegen on top."""
+        if not flags.columnar:
+            return SINK_BOX
+        if self.group_kernel is not None:
+            return SINK_GROUP
+        # count_only implies a bare `return $v` (the compiler only flips
+        # it then); with nothing but covered wheres before it the masks'
+        # verdict counts are the answer.
+        if self.count_only and not self.rest:
+            return SINK_COUNT
+        if self.stage is not None and flags.codegen:
+            return SINK_GENERATED
+        return SINK_BOX
+
+    # -- The scan ----------------------------------------------------------------
+    def batches(self, context, sink: str):
+        """The :class:`MaskedBatch` RDD feeding ``sink``, or None when
+        the runtime's flags resolve this chain to a different sink (the
+        caller then takes the reference path)."""
+        if self.sink(context.runtime.flags) != sink:
+            return None
+        return self.source.scan(context, self, batches=True)
+
+    def items(self, context):
+        """The item RDD binding the head variable: the masked batch scan
+        boxed at the boundary, the pushed row scan, or the plain scan."""
+        flags = context.runtime.flags
+        if not flags.pushdown:
+            return self.source.scan(context)
+        if not (self.predicates and flags.columnar):
+            return self.source.scan(context, self)
+
+        # Predicates run as per-column masks over shredded batches; only
+        # surviving rows box here (verified ones pre-proved, exactly
+        # like the pushed row scan's pushdown_verified marks).
+        def unbox(masked_batches):
+            for masked in masked_batches:
+                yield from masked.iter_boxed()
+
+        return self.source.scan(
+            context, self, batches=True
+        ).map_partitions(unbox)
+
+    # -- explain() ---------------------------------------------------------------
+    def describe(self, flags) -> List[str]:
         lines = []
         projection = self.effective_projection()
         if projection is not None:
             lines.append("projection: {{{}}}".format(", ".join(projection)))
         for predicate in self.predicates:
             lines.append("pushed predicate: " + predicate.description)
+        sink = self.sink(flags)
+        if flags.columnar:
+            lines.append("columnar: " + self._describe_columnar(sink))
+        if flags.codegen:
+            if self.declined is not None:
+                text = "declined ({})".format(self.declined)
+            elif sink == SINK_COUNT:
+                text = "idle (count kernel serves this consumer)"
+            else:
+                text = "whole-stage loop ({} where mask{}; {})".format(
+                    len(self.wheres),
+                    "" if len(self.wheres) == 1 else "s",
+                    self.stage.summary,
+                )
+            lines.append("codegen: " + text)
         return lines
+
+    def _describe_columnar(self, sink: str) -> str:
+        if sink == SINK_GROUP:
+            return (
+                "group-by count kernel over masked scan (keys: {})".format(
+                    ", ".join(
+                        "${} := ${}.{}".format(name, self.variable, key)
+                        for name, key in self.group_kernel.keys
+                    )
+                )
+            )
+        if sink == SINK_COUNT:
+            return "count kernel over masked scan"
+        if self.predicates:
+            return "masked batch scan ({} predicate mask{})".format(
+                len(self.predicates),
+                "" if len(self.predicates) == 1 else "s",
+            )
+        return "declined (no pushed predicate masks; row scan retained)"
 
 
 def _operand(node: ast.AstNode, variable: str):
@@ -133,63 +238,41 @@ def _make_raw(left, right, value_op: str) -> Callable:
     """Build the three-valued raw predicate over decoded dicts.
 
     The operand readers are specialized per shape (key/key, key/lit,
-    lit/key) so the per-record path is two dict probes and a compare —
-    this closure runs once per scanned record.
+    lit/key) so the per-record path is two dict probes and one
+    :func:`~repro.items.columnar.scalar_verdict` — this closure runs
+    once per scanned record.
     """
-    py_op = _PY_OPS[value_op]
+    py_op = VALUE_OPS[value_op][0]
     eq_family = value_op in ("eq", "ne")
 
     if left[0] == "key":
         left_key = left[1]
-        read_left = lambda record: record.get(left_key, _MISSING)  # noqa: E731
+        read_left = lambda record: record.get(left_key, ABSENT)  # noqa: E731
     else:
         left_value = left[1]
         read_left = lambda record: left_value  # noqa: E731
     if right[0] == "key":
         right_key = right[1]
-        read_right = lambda record: record.get(right_key, _MISSING)  # noqa: E731
+        read_right = lambda record: record.get(right_key, ABSENT)  # noqa: E731
     else:
         right_value = right[1]
         read_right = lambda record: right_value  # noqa: E731
 
     def raw(record: dict):
-        mine = read_left(record)
-        theirs = read_right(record)
-        # An absent key is JSONiq's empty sequence: any comparison with
-        # it is definitively false (value comparisons yield the empty
-        # sequence, whose effective boolean value is false).
-        if mine is _MISSING or theirs is _MISSING:
-            return False
-        # JSON nulls and cross-family comparisons have engine-defined
-        # semantics (including type errors): Unknown, never prune.
-        if mine is None or theirs is None:
-            return None
-        mine_bool = isinstance(mine, bool)
-        theirs_bool = isinstance(theirs, bool)
-        if mine_bool or theirs_bool:
-            if mine_bool and theirs_bool and eq_family:
-                return py_op(mine, theirs)
-            return None
-        if isinstance(mine, str) and isinstance(theirs, str):
-            return py_op(mine, theirs)
-        if isinstance(mine, (int, float)) and isinstance(theirs, (int, float)):
-            return py_op(mine, theirs)
-        return None
+        return scalar_verdict(
+            read_left(record), read_right(record), py_op, eq_family
+        )
 
     return raw
 
 
-_FLIPPED = {"eq": "eq", "ne": "ne", "lt": "gt", "le": "ge",
-            "gt": "lt", "ge": "le"}
-
-
 def _compile_predicate(
-    condition: ast.AstNode, variable: str, plan: PushdownPlan
+    condition: ast.AstNode, variable: str
 ) -> Optional[PushedPredicate]:
     if not isinstance(condition, ast.ComparisonExpression):
         return None
     op = condition.op
-    value_op = op if op in _VALUE_OPS else _GENERAL_TO_VALUE.get(op)
+    value_op = op if op in VALUE_OPS else GENERAL_TO_VALUE.get(op)
     if value_op is None:
         return None
     left = _operand(condition.left, variable)
@@ -203,17 +286,6 @@ def _compile_predicate(
         _describe_operand(left, variable), op,
         _describe_operand(right, variable),
     )
-    # Key-vs-literal predicates double as min/max range facts.
-    if left[0] == "key" and right[0] == "lit" and not isinstance(
-        right[1], bool
-    ):
-        plan.range_predicates.append((left[1], value_op, right[1]))
-    elif right[0] == "key" and left[0] == "lit" and not isinstance(
-        left[1], bool
-    ):
-        plan.range_predicates.append(
-            (right[1], _FLIPPED[value_op], left[1])
-        )
     return PushedPredicate(
         keys, _make_raw(left, right, value_op), description,
         spec=(left, right, value_op),
@@ -275,9 +347,7 @@ def analyse(flwor: ast.FlworExpression) -> Optional[PushdownPlan]:
     for clause in clauses[1:]:
         if isinstance(clause, ast.WhereClause):
             if in_where_prefix and predicates_allowed:
-                predicate = _compile_predicate(
-                    clause.condition, variable, plan
-                )
+                predicate = _compile_predicate(clause.condition, variable)
                 if predicate is not None:
                     plan.predicates.append(predicate)
             scan(clause.condition)
@@ -341,38 +411,33 @@ def analyse(flwor: ast.FlworExpression) -> Optional[PushdownPlan]:
 # ---------------------------------------------------------------------------
 
 def annotate(flwor: ast.FlworExpression, return_iterator) -> None:
-    """Attach the pushdown plan and apply the top-k rewrite to a freshly
-    compiled FLWOR chain.  Called by the compiler; both optimizations
-    stay dormant until a runtime with ``config.pushdown`` enables them.
+    """Attach the scan plan and apply the top-k rewrite to a freshly
+    compiled FLWOR chain.  Called by the compiler; everything stays
+    dormant until a runtime's flags enable it.
     """
+    from repro.jsoniq.functions.io import JsonFileIterator
     from repro.jsoniq.runtime.flwor.clauses import ForClauseIterator
 
-    head = return_iterator.input_clause
-    while head is not None and head.input_clause is not None:
-        head = head.input_clause
-    if (
-        isinstance(head, ForClauseIterator)
-        and hasattr(head.expression, "get_rdd_pushed")
+    chain = []
+    clause = return_iterator.input_clause
+    while clause is not None:
+        chain.append(clause)
+        clause = clause.input_clause
+    head = chain.pop()
+    chain.reverse()
+    # The scan capability is decided here, by type: only a leading
+    # json-file() read gets a plan.
+    if isinstance(head, ForClauseIterator) and isinstance(
+        head.expression, JsonFileIterator
     ):
         plan = analyse(flwor)
         if plan is not None:
+            plan.head = head
+            plan.source = head.expression
             head.pushdown_plan = plan
             return_iterator.pushdown_plan = plan
-            _tag_covered_wheres(head, return_iterator, plan)
-            # Columnar consumers ride the same plan (masked batch scan,
-            # count kernel, group-by count kernel); must run before the
-            # top-k rewrite while the chain is still the plain clause
-            # list.  See flwor/columnar.py.
-            from repro.jsoniq.runtime.flwor.columnar import plan_columnar
-
-            plan_columnar(head, return_iterator, plan)
-            # Whole-stage codegen rides the same plan one layer higher:
-            # when the full chain (scan + covered wheres + return) fits
-            # the emitter's shapes, the pipeline compiles into a single
-            # generated loop.  See jsoniq/codegen/.
-            from repro.jsoniq.codegen import plan_codegen
-
-            plan_codegen(head, return_iterator, plan)
+            _cover_wheres(plan, chain)
+            _plan_sinks(plan, return_iterator)
     _rewrite_topk(flwor, return_iterator)
 
 
@@ -407,45 +472,91 @@ def _operands_match(found, spec) -> bool:
     return True
 
 
-def _tag_covered_wheres(head, return_iterator, plan: PushdownPlan) -> None:
-    """Mark the where-clause iterators whose conditions were compiled
-    into pushed predicates.  A tagged clause may pass rows the scan
-    already proved definitely-true (``item.pushdown_verified``) without
-    re-evaluating its condition — the scan's three-valued verdict is
-    True only when the condition is guaranteed truthy and error-free.
+def _spec_matches(found, spec) -> bool:
+    """Whether a compiled comparison's (left, right, value-op) is the
+    one a pushed predicate's ``spec`` was built from."""
+    return (
+        bool(spec)
+        and found[2] == spec[2]
+        and _operands_match(found[0], spec[0])
+        and _operands_match(found[1], spec[1])
+    )
+
+
+def _cover_wheres(plan: PushdownPlan, chain: List[object]) -> None:
+    """Split ``chain`` (the clauses after the head, forward order) into
+    the covered where prefix and the rest, tagging every where clause
+    whose condition was compiled into a pushed predicate.  A tagged
+    clause may pass rows the scan already proved definitely-true
+    (``item.pushdown_verified``) without re-evaluating its condition —
+    the scan's three-valued verdict is True only when the condition is
+    guaranteed truthy and error-free.
     """
     from repro.jsoniq.runtime.comparison import ComparisonIterator
     from repro.jsoniq.runtime.flwor.clauses import WhereClauseIterator
 
-    chain = []
-    clause = return_iterator.input_clause
-    while clause is not None and clause is not head:
-        chain.append(clause)
-        clause = getattr(clause, "input_clause", None)
     remaining = list(plan.predicates)
-    # Forward order: the where prefix sits directly after the head.
-    for clause in reversed(chain):
+    wheres = []
+    in_prefix = True
+    for clause in chain:
         if not isinstance(clause, WhereClauseIterator) or not remaining:
             break
+        covering = None
         condition = clause.condition
-        if not isinstance(condition, ComparisonIterator):
+        if isinstance(condition, ComparisonIterator):
+            op = condition.op
+            found = (
+                _iterator_operand(condition.left, plan.variable),
+                _iterator_operand(condition.right, plan.variable),
+                op if op in VALUE_OPS else GENERAL_TO_VALUE.get(op),
+            )
+            covering = next(
+                (p for p in remaining if _spec_matches(found, p.spec)), None
+            )
+        if covering is None:
+            # An uncovered where ends the prefix the masks fully account
+            # for; wheres after it can still be tagged.
+            in_prefix = False
             continue
-        op = condition.op
-        value_op = op if op in _VALUE_OPS else _GENERAL_TO_VALUE.get(op)
-        left = _iterator_operand(condition.left, plan.variable)
-        right = _iterator_operand(condition.right, plan.variable)
-        for predicate in remaining:
-            if not predicate.spec:
-                continue
-            spec_left, spec_right, spec_op = predicate.spec
-            if (
-                value_op == spec_op
-                and _operands_match(left, spec_left)
-                and _operands_match(right, spec_right)
-            ):
-                clause.pushdown_plan = plan
-                remaining.remove(predicate)
-                break
+        clause.pushdown_plan = plan
+        remaining.remove(covering)
+        if in_prefix:
+            wheres.append(clause)
+    plan.wheres = wheres
+    plan.rest = chain[len(wheres):]
+
+
+def _plan_sinks(plan: PushdownPlan, return_iterator) -> None:
+    """Record which batch sinks the chain's shape admits: the group-by
+    count kernel when a kernel-eligible group-by follows the covered
+    prefix, the generated whole-stage loop when nothing does and the
+    emitter supports the return expression (declined otherwise, with
+    the reason for explain()).  The count sink needs no preparation."""
+    from repro.jsoniq.codegen.emitter import Unsupported, emit_source
+    from repro.jsoniq.runtime.flwor.clauses import GroupByClauseIterator
+    from repro.jsoniq.runtime.flwor.columnar import GroupByCountKernel
+
+    head, rest = plan.head, plan.rest
+    if rest and isinstance(rest[0], GroupByClauseIterator):
+        kernel = GroupByCountKernel.for_clause(plan, rest[0])
+        if kernel is not None:
+            plan.group_kernel = kernel
+            rest[0].columnar_kernel = kernel
+    if head.position_variable is not None:
+        plan.declined = "positional for-variable"
+    elif head.allowing_empty:
+        plan.declined = "allowing empty"
+    elif rest:
+        plan.declined = "{} between scan and return".format(
+            type(rest[0]).__name__
+        )
+    else:
+        try:
+            plan.stage = emit_source(
+                plan.variable, plan.wheres, return_iterator.expression
+            )
+        except Unsupported as unsupported:
+            plan.declined = str(unsupported)
 
 
 def _rewrite_topk(flwor: ast.FlworExpression, return_iterator) -> None:
@@ -568,15 +679,13 @@ class TopKClauseIterator:
         self.count_variable = count_variable
         self.limit = limit
         #: The original where clause — the reference path when the
-        #: pushdown config flag is off.
+        #: pushdown flag is off.
         self.fallback = fallback
 
     # -- Shared helpers --------------------------------------------------------
     def _enabled(self, context) -> bool:
         runtime = context.runtime
-        if runtime is None:
-            return False
-        return bool(getattr(runtime.config, "pushdown", True))
+        return runtime is not None and runtime.flags.pushdown
 
     @staticmethod
     def _merge_families(families, observed) -> None:

@@ -31,7 +31,7 @@ class ColumnarLedger:
     """Per-context shred statistics of the last run's columnar scans.
 
     One entry per scanned block (capped: only the most recent
-    :attr:`CAP` survive), appended by ``get_rdd_columnar`` and rendered
+    :attr:`CAP` survive), appended by the batch scan and rendered
     by ``explain()``'s "Columnar (last run)" section.  Thread executors
     append concurrently, hence the hierarchy lock
     (``spark.columnar.ledger`` — acquired *after* the scan released the

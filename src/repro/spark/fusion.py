@@ -171,17 +171,3 @@ def fusion_source(rdd):
     while node._fuse_op is not None and node._cache is None:
         node = node._fuse_parent
     return node
-
-
-def describe_chain(rdd) -> str:
-    """``map+filter+flatmap``-style summary of an RDD's fused chain.
-
-    An operator function may carry a ``_columnar_label`` attribute (set
-    by the columnar boxing boundary, e.g. ``unbox[$v]``) that replaces
-    its generic kind in the summary."""
-    ops = fused_chain(rdd)
-    if not ops:
-        return "(unfused)"
-    return "+".join(
-        getattr(op.func, "_columnar_label", op.kind) for op in ops
-    )

@@ -211,191 +211,6 @@ def _resplit(blocks: List[FileBlock], want: int) -> List[FileBlock]:
     return sorted(blocks, key=lambda b: (b.path, b.start))
 
 
-# -- Min/max file statistics (partition pruning) -------------------------------
-
-#: Sidecar suffix; the leading dot keeps :func:`list_input_files` from
-#: ever reading a sidecar back as data.
-STATS_SUFFIX = ".rumble-stats.json"
-
-
-def stats_path(local_path: str) -> str:
-    directory, base = os.path.split(local_path)
-    return os.path.join(directory, "." + base + STATS_SUFFIX)
-
-
-def write_stats_sidecars(uri: str) -> List[str]:
-    """Scan the JSON-Lines file(s) behind ``uri`` and write one min/max
-    stats sidecar per file.
-
-    The sidecar records, per top-level key of the file's object records:
-    the key's value type family (``string``/``number``/``mixed``/
-    ``other``) and, for single-family scalar keys, the min and max.  A
-    pushed key-vs-literal predicate whose range the sidecar disproves
-    lets the scan skip the whole file (the classic small-materialized-
-    aggregates / Parquet row-group pruning trick).
-    """
-    import json
-
-    written = []
-    for path in list_input_files(REGISTRY.resolve(uri)):
-        rows = 0
-        keys: Dict[str, Dict[str, object]] = {}
-        with open(path, "rb") as handle:
-            for raw in handle:
-                text = raw.decode("utf-8", errors="replace").strip()
-                if not text:
-                    continue
-                rows += 1
-                try:
-                    record = json.loads(text)
-                except ValueError:
-                    # A malformed line may hold any values: poison every
-                    # key so nothing about this file can be disproved.
-                    keys = {key: {"type": "mixed"} for key in keys}
-                    keys["\0malformed"] = {"type": "mixed"}
-                    continue
-                if type(record) is not dict:
-                    continue
-                for key, value in record.items():
-                    _observe(keys, key, value)
-        payload = {"rows": rows, "keys": {
-            key: stat for key, stat in keys.items() if not key.startswith("\0")
-        }}
-        if any(key.startswith("\0") for key in keys):
-            payload["unreliable"] = True
-        target = stats_path(path)
-        with open(target, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        written.append(target)
-    return written
-
-
-def _observe(keys: Dict[str, Dict[str, object]], key: str, value) -> None:
-    kind = type(value)
-    if kind is str:
-        family = "string"
-    elif kind is bool:
-        family = "other"
-    elif kind is int or kind is float:
-        family = "number"
-    else:
-        family = "other"
-    stat = keys.get(key)
-    if stat is None:
-        if family in ("string", "number"):
-            keys[key] = {"type": family, "min": value, "max": value,
-                         "count": 1}
-        else:
-            keys[key] = {"type": family, "count": 1}
-        return
-    stat["count"] = stat.get("count", 0) + 1
-    if stat["type"] != family:
-        stat["type"] = "mixed"
-        stat.pop("min", None)
-        stat.pop("max", None)
-        return
-    if "min" in stat:
-        if value < stat["min"]:
-            stat["min"] = value
-        if value > stat["max"]:
-            stat["max"] = value
-
-
-def load_stats(local_path: str) -> Optional[dict]:
-    """The stats sidecar of one data file, or None when absent/corrupt."""
-    import json
-
-    target = stats_path(local_path)
-    if not os.path.exists(target):
-        return None
-    try:
-        with open(target, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (ValueError, OSError):
-        return None
-    if not isinstance(payload, dict) or "keys" not in payload:
-        return None
-    return payload
-
-
-def _family_of_literal(value) -> Optional[str]:
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, (int, float)):
-        return "number"
-    return None
-
-
-def file_excluded(stats: dict, predicates) -> bool:
-    """Whether a stats sidecar *disproves* one of the pushed range
-    predicates for every record of its file.
-
-    ``predicates`` are ``(key, op, literal)`` facts with value-comparison
-    op names; they are conjunctive, so one disproved predicate excludes
-    the file.  Conservative in every unknown: mixed-type keys, missing
-    stats and unreliable sidecars never exclude.
-    """
-    if stats.get("unreliable"):
-        return False
-    rows = stats.get("rows", 0)
-    if not isinstance(rows, int) or rows <= 0:
-        return False
-    keys = stats.get("keys", {})
-    for key, op, literal in predicates:
-        family = _family_of_literal(literal)
-        if family is None:
-            continue
-        stat = keys.get(key)
-        if stat is None:
-            # The key never occurs in this file: every lookup is the
-            # empty sequence, so the predicate is false on every record.
-            return True
-        if stat.get("type") != family or "min" not in stat:
-            continue
-        # Records lacking the key fail the predicate anyway, so the range
-        # over *present* values decides the file even when count < rows.
-        low, high = stat["min"], stat["max"]
-        if op == "eq" and (literal < low or literal > high):
-            return True
-        if op == "lt" and low >= literal:
-            return True
-        if op == "le" and low > literal:
-            return True
-        if op == "gt" and high <= literal:
-            return True
-        if op == "ge" and high < literal:
-            return True
-        if op == "ne" and low == high == literal:
-            return True
-    return False
-
-
-def split_input_pruned(
-    uri: str,
-    min_partitions: Optional[int] = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    range_predicates=(),
-) -> Tuple[List[FileBlock], int]:
-    """Like :func:`split_input`, but skip files whose stats sidecar
-    disproves a pushed range predicate.  Returns (blocks, files pruned).
-    """
-    local = REGISTRY.resolve(uri)
-    blocks: List[FileBlock] = []
-    pruned = 0
-    for path in list_input_files(local):
-        if range_predicates:
-            stats = load_stats(path)
-            if stats is not None and file_excluded(stats, range_predicates):
-                pruned += 1
-                continue
-        blocks.extend(split_file(path, min_partitions, block_size))
-    if min_partitions and blocks and len(blocks) < min_partitions:
-        blocks = _resplit(blocks, min_partitions)
-    return blocks, pruned
-
-
 def write_partitioned_text(
     uri: str, partitions: List[List[str]]
 ) -> List[str]:

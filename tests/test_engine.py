@@ -14,6 +14,16 @@ from repro.core import (
 from repro.core.shell import RumbleShell
 from repro.jsoniq.errors import DynamicException, ParseException
 
+#: level -> ((pushdown, columnar, codegen) asked for, what can take
+#: effect): codegen needs columnar needs pushdown, so every level asks
+#: for everything above its first "off" — which must then read off too.
+SCAN_LEVELS = {
+    "rowscan": ((False, True, True), (False, False, False)),
+    "pushdown": ((True, False, True), (True, False, False)),
+    "columnar": ((True, True, False), (True, True, False)),
+    "codegen": ((True, True, True), (True, True, True)),
+}
+
 
 class TestEngineApi:
     def test_query_round_trip(self, rumble):
@@ -53,6 +63,49 @@ class TestEngineApi:
         context = engine.spark.spark_context
         assert context.executors.num_executors == 2
         assert context.default_parallelism == 3
+
+    def test_make_engine_leaves_the_callers_config_alone(self):
+        import dataclasses
+
+        config = RumbleConfig(materialization_cap=123)
+        before = dataclasses.asdict(config)
+        stripped = make_engine(
+            executors=2, parallelism=4, config=config,
+            pushdown=False, columnar=False, codegen=False,
+        )
+        plain = make_engine(executors=2, parallelism=4, config=config)
+        assert dataclasses.asdict(config) == before
+        assert "pushdown: off" in stripped.explain("1")
+        assert "pushdown: on" in plain.explain("1")
+        assert stripped.config.materialization_cap == 123
+
+    @pytest.mark.parametrize("level", sorted(SCAN_LEVELS))
+    def test_explain_shows_the_flags_that_take_effect(
+        self, level, jsonl_file
+    ):
+        path = jsonl_file([{"v": i} for i in range(20)])
+        (pushdown, columnar, codegen), effective = SCAN_LEVELS[level]
+        engine = make_engine(
+            executors=2, parallelism=4, pushdown=pushdown,
+            columnar=columnar, codegen=codegen,
+        )
+        lines = engine.explain(
+            'for $o in json-file("{}")\n'
+            'where $o.v ge 10\n'
+            'return {{ "v": $o.v }}'.format(path)
+        ).splitlines()
+        for name, on in zip(("pushdown", "columnar", "codegen"), effective):
+            assert "  {}: {}".format(name, "on" if on else "off") in lines
+        _, columnar_on, codegen_on = effective
+        assert any(
+            line.startswith("    columnar: masked batch scan")
+            for line in lines
+        ) == columnar_on
+        assert any(
+            line.startswith("    codegen: whole-stage loop")
+            for line in lines
+        ) == codegen_on
+        assert ("Generated stage 1" in lines) == codegen_on
 
 
 class TestResults:
@@ -143,6 +196,31 @@ class TestShell:
         shell.run([":help", ":banana", ":quit"])
         text = output.getvalue()
         assert "unknown command" in text
+
+    def test_codegen_toggle_round_trip(self):
+        output = io.StringIO()
+        engine = make_engine(
+            executors=2, parallelism=4, columnar=True, codegen=True
+        )
+        shell = RumbleShell(engine=engine, output=output)
+        shell.handle_command(":codegen")
+        assert "  codegen: off" in engine.explain("1").splitlines()
+        shell.handle_command(":codegen")
+        assert "  codegen: on" in engine.explain("1").splitlines()
+        assert output.getvalue().splitlines() == [
+            "codegen off", "codegen on",
+        ]
+
+    def test_codegen_toggle_cannot_outrun_columnar(self):
+        output = io.StringIO()
+        engine = make_engine(
+            executors=2, parallelism=4, columnar=False, codegen=False
+        )
+        shell = RumbleShell(engine=engine, output=output)
+        shell.handle_command(":codegen")
+        assert "codegen on" not in output.getvalue()
+        assert "requires pushdown and columnar" in output.getvalue()
+        assert "  codegen: off" in engine.explain("1").splitlines()
 
     def test_results_capped_by_default(self):
         shell, output = self._shell()

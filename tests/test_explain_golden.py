@@ -119,8 +119,8 @@ def engine():
     # The snapshots pin exact text, so the adaptive/memory/columnar/
     # codegen lines must not follow RUMBLE_ADAPTIVE /
     # RUMBLE_MEMORY_BUDGET / RUMBLE_COLUMNAR / RUMBLE_CODEGEN from the
-    # environment (the memory-pressure, columnar and codegen CI jobs
-    # run the whole suite with those knobs turned).
+    # environment (the memory-pressure CI job runs the whole suite
+    # with its knob turned).
     context = built.spark.spark_context
     context.adaptive.enabled = True
     context.memory.set_budget(None)
