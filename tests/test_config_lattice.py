@@ -14,8 +14,18 @@ the all-off engine at the default block size; a point agrees when every
 query yields identical items, or raises the same exception type with the
 same message.  This is the safety net a scan/plan refactor runs under:
 the pairwise on/off differential suites are lattice edges.
+
+The second half is the **comparison matrix**: ``$o.l <op> ($o.r |
+literal)`` for all twelve comparison operators over every pairing of
+operand shapes, each condition in the four places a scan plan can
+consume it.  Its reference is not the all-off engine but the *local
+iterators* (the same FLWOR with a positional variable, which the
+DataFrame mapping declines): the all-off DataFrame path shares the
+where clause's compiled predicate with every other point, so only the
+local path can see that predicate disagree with ``ComparisonIterator``.
 """
 
+import collections
 import itertools
 import json
 import os
@@ -24,6 +34,8 @@ import pytest
 
 from repro.bench.workloads import rumble_query
 from repro.core import RumbleConfig, make_engine
+from repro.core.engine import CompiledQuery
+from repro.items.compare import GENERAL_TO_VALUE, VALUE_OPS
 from repro.jsoniq.errors import JsoniqException
 from repro.jsoniq.jsonlines import PARSE_MODES
 from tests.test_differential import EXAMPLE_QUERIES, QUERY_DIR
@@ -307,3 +319,228 @@ def test_reference_is_not_vacuous(reference):
     for name, outcome in reference.items():
         if outcome[0] == "items":
             assert outcome[1], name + " must produce output"
+
+
+# ---------------------------------------------------------------------------
+# The comparison matrix, against the local iterators
+# ---------------------------------------------------------------------------
+
+_NO_KEY = object()
+
+#: Operand shapes a record key can take (``absent`` = the key is missing).
+SHAPES = {
+    "absent": _NO_KEY, "null": None, "true": True, "1": 1, "1.5": 1.5,
+    '"s"': "s", "[1]": [1], '{"a":1}': {"a": 1},
+}
+NON_ATOMIC = ("[1]", '{"a":1}')
+#: The scalar literals, as JSONiq source (``1.5`` is a decimal literal).
+LITERALS = ("null", "true", "1", "1.5", '"s"')
+OPERATORS = tuple(VALUE_OPS) + tuple(GENERAL_TO_VALUE)
+
+#: The four consumers of a condition: a where ahead of a return, the
+#: count kernel, the group-by count kernel, and the generated loop's
+#: return expression.  ``{at}`` takes the positional variable that keeps
+#: a chain on the local iterators.
+CONSUMERS = {
+    "where":
+        'for $o{at} in json-file("{path}"){let}\n'
+        'where {condition}\nreturn $o.a',
+    "count":
+        'count(for $o{at} in json-file("{path}"){let}\n'
+        'where {condition}\nreturn $o)',
+    "group":
+        'for $o{at} in json-file("{path}"){let}\n'
+        'where {condition}\ngroup by $g := $o.g\n'
+        'return {{ "g": $g, "n": count($o) }}',
+    "return":
+        'for $o{at} in json-file("{path}"){let}\nreturn {condition}',
+}
+
+MatrixCase = collections.namedtuple(
+    "MatrixCase", "name local distributed alone known_divergent"
+)
+
+#: query text -> CompiledQuery.  The compiled tree is engine-independent
+#: (every optimization stays dormant until a runtime's flags enable it),
+#: so the ~4k matrix queries compile once, not once per lattice point.
+_COMPILED = {}
+
+
+def _matrix_outcome(engine, text):
+    try:
+        compiled = _COMPILED.get(text)
+        if compiled is None:
+            compiled = _COMPILED[text] = engine.compile(text)
+        return ("items", CompiledQuery(
+            engine, compiled.module, compiled.iterator, compiled.globals
+        ).run().to_python(cap=CAP))
+    except JsoniqException as error:
+        return ("error", type(error).__name__, str(error))
+
+
+def _matrix_record(row, left, right=None):
+    record = {"a": row, "g": row % 3}
+    for key, shape in (("l", left), ("r", right)):
+        if shape is not None and SHAPES[shape] is not _NO_KEY:
+            record[key] = SHAPES[shape]
+    return record
+
+
+@pytest.fixture(scope="module")
+def matrix(tmp_path_factory):
+    """([MatrixCase], {case name: outcome on the local iterators}).
+
+    A row the reference raises on sits **alone** in a one-record file —
+    an error aborts the query, so two such rows in one file would hide
+    each other.  All rows it answers sit **together** in one file per
+    condition, padded past the small block size so the block-size axis
+    splits it (and so its columns are mixed-kind, while a key-vs-literal
+    file's surviving rows share the literal's family and stay typed).
+    """
+    root = str(tmp_path_factory.mktemp("matrix"))
+    local = _engine(False, False, "rowscan", None, "failfast")
+    cases = []
+
+    def write(name, records, pad=0):
+        filler = {"pad": "x" * pad} if pad else {}
+        return _write_records(
+            os.path.join(root, name),
+            [dict(record, **filler) for record in records],
+        )
+
+    def add(name, path, condition, alone, known=False, let=""):
+        for consumer, template in CONSUMERS.items():
+            local_text, distributed = (
+                template.format(
+                    at=at, path=path, let=let, condition=condition
+                )
+                for at in (" at $p", "")
+            )
+            cases.append(MatrixCase(
+                "{} / {}".format(name, consumer), local_text, distributed,
+                alone, known,
+            ))
+
+    def raises(path, condition):
+        return _matrix_outcome(local, CONSUMERS["return"].format(
+            at=" at $p", path=path, let="", condition=condition
+        ))[0] == "error"
+
+    rows = {}
+    pairs = [(left, right) for left in SHAPES for right in SHAPES]
+    pairs += [(left, None) for left in SHAPES]
+    for row, (left, right) in enumerate(pairs):
+        record = _matrix_record(row, left, right)
+        rows[left, right] = (
+            record, write("row{}.json".format(row), [record])
+        )
+    together = {}
+    for op in OPERATORS:
+        conditions = [("$o.l {} $o.r".format(op), True)] + [
+            ("$o.l {} {}".format(op, literal), False)
+            for literal in LITERALS
+        ]
+        for condition, key_vs_key in conditions:
+            answered = []
+            for (left, right), (record, path) in rows.items():
+                if (right is not None) != key_vs_key:
+                    continue
+                if raises(path, condition):
+                    add(
+                        "{} over {}".format(
+                            condition, json.dumps(record)
+                        ),
+                        path, condition, alone=True,
+                        known=left in NON_ATOMIC or right in NON_ATOMIC,
+                    )
+                else:
+                    answered.append(record)
+            key = json.dumps(answered)
+            if key not in together:
+                together[key] = write(
+                    "together{}.json".format(len(together)), answered,
+                    pad=4608 // len(answered),
+                )
+            add(condition + " over the rows it answers", together[key],
+                condition, alone=False)
+
+    # Bindings that are not one scanned object: a fast form must hand
+    # them to the reference evaluator, whose wording they then share.
+    bindings = write("bindings.json", [{"a": 1, "g": 1, "l": 1}])
+    for name, let, condition, known in (
+        ("two-item binding, value", "let $p := ($o, $o)", "$p.l eq 1", True),
+        ("two-item binding, general", "let $p := ($o, $o)", "$p.l = 1",
+         False),
+        ("constructed binding", 'let $p := { "l": $o.l }', "$p.l eq 1",
+         False),
+        ("empty binding", "let $p := ()", "$p.l eq 1", False),
+    ):
+        add(name, bindings, condition, alone=True, known=known,
+            let="\n" + let)
+
+    reference = {
+        case.name: _matrix_outcome(local, case.local) for case in cases
+    }
+    return cases, reference
+
+
+def _matrix_disagreements(engine, block_size, matrix, known_divergent):
+    cases, reference = matrix
+    disagreements = []
+    for case in cases:
+        if case.known_divergent != known_divergent:
+            continue
+        if case.alone and block_size is not None:
+            continue  # a one-record file is one block at either size
+        outcome = _matrix_outcome(engine, case.distributed)
+        if outcome != reference[case.name]:
+            disagreements.append(
+                (case.name, reference[case.name], outcome)
+            )
+    return disagreements
+
+
+@pytest.mark.parametrize("fusion,adaptive,level,block_size", POINTS)
+def test_comparison_matrix_agrees_with_local_iterators(
+    fusion, adaptive, level, block_size, matrix
+):
+    engine = _engine(fusion, adaptive, level, block_size, "failfast")
+    disagreements = _matrix_disagreements(engine, block_size, matrix, False)
+    assert not disagreements, "{} of the matrix diverged, e.g. {}".format(
+        len(disagreements), disagreements[:3]
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a present array/object operand: the fast predicate words the "
+           "error itself or, against an absent operand, prunes the row",
+)
+@pytest.mark.parametrize(
+    "fusion,adaptive,level",
+    list(itertools.product((False, True), (False, True), SCAN_LEVELS)),
+)
+def test_comparison_matrix_known_divergences(
+    fusion, adaptive, level, matrix
+):
+    engine = _engine(fusion, adaptive, level, None, "failfast")
+    assert not _matrix_disagreements(engine, None, matrix, True)
+
+
+def test_comparison_matrix_is_not_vacuous(matrix):
+    cases, reference = matrix
+    kinds = collections.Counter(
+        (case.alone, reference[case.name][0]) for case in cases
+    )
+    # 12 operators x (64 key pairs + 8 shapes x 5 literals) x 4 consumers.
+    assert kinds[True, "error"] >= 2000
+    assert kinds[False, "error"] == 0
+    assert kinds[False, "items"] == len(OPERATORS) * 6 * len(CONSUMERS)
+    messages = {
+        outcome[2] for outcome in reference.values()
+        if outcome[0] == "error"
+    }
+    assert "[XPTY0004] comparison operand must be atomic, got array" \
+        in messages
+    assert "[XPTY0004] cannot compare object" in messages
+    assert any("single item" in message for message in messages)
