@@ -2,14 +2,11 @@
 
 Three switches, each isolating one optimization the engine relies on:
 
-1. **fast paths** — compile-time extraction of ``$var.key`` keys and
-   simple comparison predicates vs the generic EVALUATE_EXPRESSION route
-   (the trade-off behind the paper's "pure Java" key-column creation);
-2. **group-by COUNT pushdown** — Section 4.7's count-only aggregation vs
+1. **group-by COUNT pushdown** — Section 4.7's count-only aggregation vs
    always materializing non-grouping variables;
-3. **Catalyst-lite rules** — the mini Spark SQL with and without its
+2. **Catalyst-lite rules** — the mini Spark SQL with and without its
    optimizer (predicate pushdown, TopK fusion);
-4. **whole-stage codegen** — the generated Python loop over masked
+3. **whole-stage codegen** — the generated Python loop over masked
    batches vs the interpreted per-row iterator dispatch it replaces
    (both sides columnar, so only the code generation varies).
 """
@@ -31,32 +28,6 @@ from repro.spark.sql.executor import explain, run_sql
 @pytest.fixture()
 def rumble():
     return make_rumble_engine()
-
-
-def _run_group(rumble, path: str):
-    return rumble.query(rumble_query("group", path)).count()
-
-
-def test_ablation_fast_paths(rumble, confusion_path):
-    baseline = measure(lambda: _run_group(rumble, confusion_path), repeat=2)
-    clauses.FAST_PATHS_ENABLED = False
-    try:
-        generic = measure(
-            lambda: _run_group(rumble, confusion_path), repeat=2
-        )
-    finally:
-        clauses.FAST_PATHS_ENABLED = True
-    print(render_engine_table(
-        "Ablation — compile-time fast paths",
-        {"group query": {
-            "fast paths on": baseline.render(),
-            "fast paths off": generic.render(),
-        }},
-    ))
-    check_shape(
-        "fast paths do not lose to the generic route",
-        baseline.seconds <= generic.seconds * 1.1,
-    )
 
 
 def test_ablation_group_count_pushdown(rumble, confusion_path):
@@ -180,9 +151,3 @@ def test_ablation_codegen(confusion_path):
         "the generated loop does not lose to interpreted dispatch",
         generated.seconds <= interpreted.seconds * 1.1,
     )
-
-
-def test_ablation_bench_fast_paths(benchmark, confusion_path):
-    benchmark.group = "ablation-fastpaths"
-    rumble = make_rumble_engine()
-    benchmark(lambda: _run_group(rumble, confusion_path))

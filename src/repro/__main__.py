@@ -82,36 +82,22 @@ def build_parser() -> argparse.ArgumentParser:
              "(default 0.05)",
     )
     parser.add_argument(
-        "--adaptive", dest="adaptive", action="store_true", default=None,
-        help="force adaptive query execution on (runtime partition "
-             "coalescing, skew splitting, join re-planning; the default "
-             "follows spark.adaptive.enabled / RUMBLE_ADAPTIVE)",
-    )
-    parser.add_argument(
         "--no-adaptive", dest="adaptive", action="store_false",
-        help="force adaptive query execution off",
-    )
-    parser.add_argument(
-        "--columnar", dest="columnar", action="store_true", default=None,
-        help="force vectorized columnar execution on (shredded typed "
-             "batches, predicate masks, batch kernels; the default "
-             "follows RUMBLE_COLUMNAR)",
+        default=None,
+        help="turn adaptive query execution off (runtime partition "
+             "coalescing, skew splitting, join re-planning)",
     )
     parser.add_argument(
         "--no-columnar", dest="columnar", action="store_false",
-        help="force vectorized columnar execution off (row-at-a-time "
-             "reference scan)",
-    )
-    parser.add_argument(
-        "--codegen", dest="codegen", action="store_true", default=None,
-        help="force whole-stage code generation on (eligible pipelines "
-             "compile into one generated Python loop over columnar "
-             "batches; the default follows RUMBLE_CODEGEN)",
+        help="turn vectorized columnar execution off (shredded typed "
+             "batches, predicate masks, batch kernels) for the "
+             "row-at-a-time reference scan",
     )
     parser.add_argument(
         "--no-codegen", dest="codegen", action="store_false",
-        help="force whole-stage code generation off (closure-chained "
-             "interpreted pipeline)",
+        help="turn whole-stage code generation off (one generated "
+             "Python loop per eligible pipeline) for the closure-chained "
+             "interpreted pipeline",
     )
     parser.add_argument(
         "--memory-budget", type=int, metavar="BYTES",

@@ -61,18 +61,15 @@ class RumbleConfig:
     #: into typed column batches and run predicate masks / batch kernels
     #: over them, boxing items only at the boundary (docs/performance.md,
     #: "Columnar execution").  Requires :attr:`pushdown` (the columnar
-    #: scan rides the pushdown plan; see :class:`OptimizerFlags`).  None
-    #: inherits the process default (``RUMBLE_COLUMNAR``, on unless set
-    #: to ``0``/``false``/empty).
-    columnar: Optional[bool] = None
+    #: scan rides the pushdown plan; see :class:`OptimizerFlags`).
+    columnar: bool = True
     #: Whole-stage code generation: compile a fused narrow-chain +
     #: pushdown pipeline into one generated Python function (a flat
     #: per-partition loop, specialized on static types) instead of the
     #: closure-chained interpreter (docs/performance.md, "Whole-stage
     #: code generation").  Requires :attr:`columnar` (generated loops
-    #: consume the batch scan).  None inherits the process default
-    #: (``RUMBLE_CODEGEN``, on unless set to ``0``/``false``/empty).
-    codegen: Optional[bool] = None
+    #: consume the batch scan).
+    codegen: bool = True
 
     def __post_init__(self) -> None:
         from repro.jsoniq.jsonlines import PARSE_MODES
@@ -119,18 +116,9 @@ class OptimizerFlags:
 
     @classmethod
     def resolve(cls, config: RumbleConfig) -> "OptimizerFlags":
-        """The flags ``config`` asks for: an explicit choice wins, else
-        the ``RUMBLE_COLUMNAR`` / ``RUMBLE_CODEGEN`` process default (on
-        unless ``0``/``false``/empty)."""
-        import os
-
-        def choice(explicit: Optional[bool], variable: str) -> bool:
-            if explicit is not None:
-                return explicit
-            return os.environ.get(variable, "1") not in ("0", "false", "")
-
+        """The flags ``config`` asks for, prerequisites enforced."""
         return cls(
             pushdown=config.pushdown,
-            columnar=choice(config.columnar, "RUMBLE_COLUMNAR"),
-            codegen=choice(config.codegen, "RUMBLE_CODEGEN"),
+            columnar=config.columnar,
+            codegen=config.codegen,
         )

@@ -34,10 +34,9 @@ class RumbleRuntime:
     def __init__(self, spark: SparkSession, config: RumbleConfig):
         self.spark = spark
         self.config = config
-        #: The scan optimizer switches, resolved once per engine (explicit
-        #: config, then environment, then default).  Every "is this
-        #: optimization on" question reads this object; the shell's
-        #: ``:codegen`` toggle swaps it.
+        #: The scan optimizer switches, resolved once per engine from its
+        #: config.  Every "is this optimization on" question reads this
+        #: object; the shell's ``:codegen`` toggle swaps it.
         self.flags = OptimizerFlags.resolve(config)
         self.collections: Dict[str, object] = dict(config.collections)
         #: The observability bundle instrumentation sites consult.  The
@@ -182,7 +181,7 @@ class Rumble:
         #: Normalized-AST plan cache (None when disabled): repeated query
         #: shapes skip the whole compile front-end.  See docs/serving.md.
         self.plan_cache = None
-        if getattr(self.config, "plan_cache_size", 0):
+        if self.config.plan_cache_size:
             from repro.server.plan_cache import PlanCache
 
             self.plan_cache = PlanCache(self.config.plan_cache_size)
@@ -190,7 +189,7 @@ class Rumble:
         #: identical queries over unchanged inputs replay materialized
         #: results.  See docs/serving.md.
         self.result_cache = None
-        if getattr(self.config, "result_cache_size", 0):
+        if self.config.result_cache_size:
             from repro.server.result_cache import ResultCache
 
             self.result_cache = ResultCache(self.config.result_cache_size)
@@ -576,12 +575,11 @@ def make_engine(
 
     ``columnar`` toggles the vectorized columnar scan (shredded typed
     batches + predicate masks + batch kernels; docs/performance.md,
-    "Columnar execution").  None inherits ``RUMBLE_COLUMNAR``.
+    "Columnar execution").
 
     ``codegen`` toggles whole-stage code generation (eligible pipelines
     compile into one generated Python loop over the columnar batches;
-    docs/performance.md, "Whole-stage code generation").  None inherits
-    ``RUMBLE_CODEGEN``.
+    docs/performance.md, "Whole-stage code generation").
     """
     conf = SparkConf()
     conf.set("spark.executor.instances", executors)

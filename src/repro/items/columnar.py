@@ -30,7 +30,13 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.items.compare import VALUE_OPS
+from repro.items.compare import (
+    ABSENT,
+    VALUE_OPS,
+    family_decides,
+    raw_family,
+    raw_verdict,
+)
 from repro.sanitizer import san_lock, shared_state
 
 #: Per-row, per-column validity codes.
@@ -46,10 +52,6 @@ PRUNED = 0
 RETAINED = 1
 VERIFIED = 2
 
-#: Sentinel for an absent key (JSONiq's empty sequence), distinct from a
-#: JSON null.  Readers compare by identity.
-ABSENT = object()
-
 #: Column kinds.  ``number`` unifies integer and double columns;
 #: ``mixed`` is the per-column escape (raw values, boxed on demand).
 KIND_STRING = "string"
@@ -60,6 +62,13 @@ KIND_BOOLEAN = "boolean"
 KIND_LIST = "list"
 KIND_MIXED = "mixed"
 
+#: Column kind -> the comparison family (``items.compare.raw_family``) of
+#: every present value in such a column.
+_KIND_FAMILY = {
+    KIND_STRING: "string", KIND_INTEGER: "number", KIND_DOUBLE: "number",
+    KIND_NUMBER: "number", KIND_BOOLEAN: "boolean",
+}
+
 #: How many leading records of a block the schema inference samples.
 SCHEMA_SAMPLE = 64
 
@@ -67,20 +76,13 @@ SCHEMA_SAMPLE = 64
 def _kind_of_value(value) -> Optional[str]:
     """The column kind one decoded JSON value votes for (None = null,
     which is compatible with every kind)."""
-    t = type(value)
-    if t is str:
-        return KIND_STRING
-    if t is bool:
-        return KIND_BOOLEAN
-    if t is int:
-        return KIND_INTEGER
-    if t is float:
-        return KIND_DOUBLE
-    if t is list:
-        return KIND_LIST
-    if value is None:
-        return None
-    return KIND_MIXED  # dicts and anything exotic
+    family = raw_family(value)
+    if family == "number":
+        return KIND_INTEGER if type(value) is int else KIND_DOUBLE
+    if family is None:  # dicts and anything exotic are mixed
+        return KIND_LIST if type(value) is list else KIND_MIXED
+    # The string and boolean kinds are named after their family.
+    return None if family == "null" else family
 
 
 def _union_kinds(seen: Optional[str], kind: Optional[str]) -> Optional[str]:
@@ -282,10 +284,10 @@ class ColumnBatch:
 
         ``predicates`` are :class:`PushedPredicate`-shaped objects (a
         ``spec`` triple for the column kernels plus the ``raw`` closure
-        used for escaped rows and as the spec-less fallback).  Verdict
-        combination matches ``iter_json_lines_pushed`` exactly: any
-        definite False prunes, all definite True verifies, anything else
-        retains the row for the reference re-check.
+        used for escaped rows).  Verdict combination matches
+        ``iter_json_lines_pushed`` exactly: any definite False prunes,
+        all definite True verifies, anything else retains the row for
+        the reference re-check.
         """
         count = self.row_count
         if not predicates:
@@ -308,67 +310,49 @@ class ColumnBatch:
         return statuses
 
     def _mask(self, predicate) -> List[Optional[bool]]:
-        spec = getattr(predicate, "spec", ())
         raw = predicate.raw
-        if spec:
-            left, right, value_op = spec
-            mask = self._vector_mask(left, right, value_op)
-        else:  # spec-less predicate: per-row raw() over rebuilt records
-            mask = [
-                raw(record) if type(record) is dict else False
-                for record in (
-                    self.rebuild_record(row) for row in range(self.row_count)
-                )
-            ]
-            return mask
+        mask = self._vector_mask(*predicate.spec)
         for row, record in self.escaped.items():
             mask[row] = raw(record) if type(record) is dict else False
         return mask
 
     def _vector_mask(self, left, right, value_op: str
                      ) -> List[Optional[bool]]:
-        py_op = VALUE_OPS[value_op][0]
-        eq_family = value_op in ("eq", "ne")
         # Key-vs-literal over a homogeneous typed column: the tight loop.
         if left[0] == "key" and right[0] == "lit":
-            fast = self._typed_compare(left[1], right[1], py_op, eq_family,
+            fast = self._typed_compare(left[1], right[1], value_op,
                                        flipped=False)
             if fast is not None:
                 return fast
         elif left[0] == "lit" and right[0] == "key":
-            fast = self._typed_compare(right[1], left[1], py_op, eq_family,
+            fast = self._typed_compare(right[1], left[1], value_op,
                                        flipped=True)
             if fast is not None:
                 return fast
-        # Generic path (key-vs-key, mixed columns): per-row scalar
-        # verdicts over raw column reads — still no boxing.
+        # Generic path (key-vs-key, mixed columns): per-row verdicts
+        # over raw column reads — still no boxing.
         read_left = self._operand_reader(left)
         read_right = self._operand_reader(right)
         return [
-            scalar_verdict(read_left(row), read_right(row), py_op, eq_family)
+            raw_verdict(read_left(row), read_right(row), value_op)
             for row in range(self.row_count)
         ]
 
-    def _typed_compare(self, key: str, literal, py_op, eq_family: bool,
+    def _typed_compare(self, key: str, literal, value_op: str,
                        flipped: bool) -> Optional[List[Optional[bool]]]:
-        """The vectorized kernel for one typed column against a matching
-        literal, or None when the shapes don't line up."""
+        """The vectorized kernel for one typed column against a literal
+        of the column's family — ``raw_verdict`` with the family test
+        hoisted out of the loop — or None when the shapes don't line up."""
         column = self.columns.get(key)
         if column is None:
             # Key outside the schema: every shredded row misses it.
             return [False] * self.row_count
-        kind = column.kind
-        literal_is_bool = isinstance(literal, bool)
-        if kind == KIND_STRING and type(literal) is str:
-            pass
-        elif kind in (KIND_INTEGER, KIND_DOUBLE, KIND_NUMBER) and (
-            isinstance(literal, (int, float)) and not literal_is_bool
+        family = _KIND_FAMILY.get(column.kind)
+        if family != raw_family(literal) or not family_decides(
+            family, value_op
         ):
-            pass
-        elif kind == KIND_BOOLEAN and literal_is_bool and eq_family:
-            pass
-        else:
             return None
+        py_op = VALUE_OPS[value_op][0]
         values = column.values
         validity = column.validity
         if flipped:
@@ -391,34 +375,6 @@ class ColumnBatch:
         if column is None:
             return lambda row: ABSENT
         return column.read
-
-
-def scalar_verdict(mine, theirs, py_op, eq_family: bool) -> Optional[bool]:
-    """The three-valued verdict of one comparison over raw decoded JSON
-    values — the single definition behind the pushed row predicates
-    (``pushdown._make_raw``) and the column masks.  Only a definite
-    False prunes; None (unknown) keeps the row for the reference
-    re-check, type errors included."""
-    # An absent key is JSONiq's empty sequence: any comparison with it
-    # is definitively false (value comparisons yield the empty sequence,
-    # whose effective boolean value is false).
-    if mine is ABSENT or theirs is ABSENT:
-        return False
-    # JSON nulls and cross-family comparisons have engine-defined
-    # semantics (including type errors): unknown, never prune.
-    if mine is None or theirs is None:
-        return None
-    mine_bool = isinstance(mine, bool)
-    theirs_bool = isinstance(theirs, bool)
-    if mine_bool or theirs_bool:
-        if mine_bool and theirs_bool and eq_family:
-            return py_op(mine, theirs)
-        return None
-    if isinstance(mine, str) and isinstance(theirs, str):
-        return py_op(mine, theirs)
-    if isinstance(mine, (int, float)) and isinstance(theirs, (int, float)):
-        return py_op(mine, theirs)
-    return None
 
 
 class MaskedBatch:

@@ -1,6 +1,6 @@
 """JSONiq comparison semantics and the paper's sort-key encodings.
 
-Two distinct notions coexist:
+Three distinct notions coexist:
 
 * **Value comparison** (``eq``, ``lt``, ...) between two atomic items.
   Numbers compare across numeric types; ``null`` is smaller than every other
@@ -11,6 +11,13 @@ Two distinct notions coexist:
   an integer type code, a string column and a double column, designed so
   that Spark SQL grouping/sorting on those native columns reproduces the
   JSONiq semantics without ever seeing an ``Item``.
+
+* **The raw verdict** — :func:`raw_verdict`, the same comparison over
+  raw decoded JSON values, three-valued: it decides only what the value
+  comparison above is guaranteed to decide and leaves the rest (errors
+  included) to the evaluator.  Every fast form of a comparison — pushed
+  scan predicate, column mask, where predicate, generated guard — is
+  derived from it.
 """
 
 from __future__ import annotations
@@ -44,6 +51,78 @@ VALUE_OPS = {
 GENERAL_TO_VALUE = {
     "=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
 }
+
+#: Sentinel for an absent key (JSONiq's empty sequence), distinct from a
+#: JSON null.  Readers compare by identity.
+ABSENT = object()
+
+_RAW_FAMILIES = {
+    str: "string", int: "number", float: "number", bool: "boolean",
+    type(None): "null",
+}
+#: The value operators Python's own operator decides within a family,
+#: exactly as :func:`value_compare` would: strings and numbers order,
+#: booleans are only tested for equality, and a null's outcome is the
+#: reference evaluator's to give.
+_DECIDED_OPS = {
+    "string": frozenset(VALUE_OPS), "number": frozenset(VALUE_OPS),
+    "boolean": frozenset(("eq", "ne")),
+}
+#: Source text testing that ``{0}`` holds a raw value of a family, for
+#: the code emitter's guards (``type(x) is int`` deliberately excludes
+#: bool, as :func:`raw_family` does).
+FAMILY_GUARDS = {
+    "number": "(type({0}) is int or type({0}) is float)",
+    "string": "type({0}) is str",
+    None: "(type({0}) is list or type({0}) is dict)",
+}
+
+
+def raw_family(value) -> Optional[str]:
+    """The comparison family of one raw decoded JSON value: ``string``,
+    ``number``, ``boolean``, ``null``, ``absent`` — or None for an array,
+    an object or anything else that is not a raw JSON scalar."""
+    if value is ABSENT:
+        return "absent"
+    return _RAW_FAMILIES.get(type(value))
+
+
+def family_decides(family: Optional[str], value_op: str) -> bool:
+    """Whether two present values of ``family`` compare under
+    ``value_op`` by Python's operator alone."""
+    return value_op in _DECIDED_OPS.get(family, ())
+
+
+def raw_verdict(mine, theirs, value_op: str) -> Optional[bool]:
+    """The three-valued outcome of ``mine <value_op> theirs`` over raw
+    decoded JSON values, in the reference evaluator's order.
+
+    True / False are what the where clause's effective boolean value is
+    guaranteed to be, for the value and the general spelling alike; None
+    means only the reference evaluator can say — it may raise.  Every
+    fast form of a comparison (pushed row predicate, column mask, where
+    and recheck predicate, emitted guard) is this function or defers to
+    that evaluator.
+    """
+    left, right = type(mine), type(theirs)
+    if left is str:
+        if right is str:
+            return VALUE_OPS[value_op][0](mine, theirs)
+    elif (left is int or left is float) and (right is int or right is float):
+        return VALUE_OPS[value_op][0](mine, theirs)
+    family, other = raw_family(mine), raw_family(theirs)
+    # The reference atomizes both operands before its empty check, and a
+    # general comparison raises on a present non-atomic: unknown, even
+    # against an absent operand.
+    if family is None or other is None:
+        return None
+    # The empty sequence: a value comparison is empty, a general one
+    # finds no pair — false either way.
+    if family == "absent" or other == "absent":
+        return False
+    if family == other and family_decides(family, value_op):
+        return VALUE_OPS[value_op][0](mine, theirs)
+    return None
 
 
 def value_compare(left: Item, right: Item) -> int:

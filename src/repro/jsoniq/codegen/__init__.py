@@ -20,9 +20,8 @@ Layering mirrors :mod:`repro.jsoniq.runtime.flwor.columnar`:
 * :func:`stage_rdd` is the runtime consumer ``ReturnClauseIterator.
   get_rdd`` asks first; it returns the generated stage's RDD, or None
   whenever the runtime's flags resolve the plan to another sink
-  (``RumbleConfig.codegen`` / ``RUMBLE_CODEGEN``, which also requires
-  pushdown + columnar) so the interpreter stays the untouched reference
-  path.
+  (``RumbleConfig.codegen``, which also requires pushdown + columnar)
+  so the interpreter stays the untouched reference path.
 
 Specialization is type-driven (PR 3): when static inference proved both
 operands single-numeric (``BinaryArithmeticIterator.static_numeric``)

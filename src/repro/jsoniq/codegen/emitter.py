@@ -32,7 +32,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.items.compare import GENERAL_TO_VALUE, VALUE_OPS
+from repro.items.compare import (
+    FAMILY_GUARDS,
+    GENERAL_TO_VALUE,
+    VALUE_OPS,
+    family_decides,
+    raw_family,
+)
 
 
 class Unsupported(Exception):
@@ -60,12 +66,6 @@ class Fragment:
         self.expr = expr
         self.kind = kind
         self.maybe_absent = maybe_absent
-
-
-def _is_num(expr: str) -> str:
-    # type(x) is int deliberately excludes bool (type(True) is bool):
-    # booleans are not numbers in JSONiq arithmetic.
-    return "(type({0}) is int or type({0}) is float)".format(expr)
 
 
 class _Emitter:
@@ -143,14 +143,8 @@ class _Emitter:
             StringItem,
         )
 
-        if type(item) is StringItem:
-            return Fragment(repr(item.value), "string")
-        if type(item) is IntegerItem:
-            return Fragment(repr(item.value), "number")
-        if type(item) is DoubleItem:
-            return Fragment(repr(item.value), "number")
-        if type(item) is BooleanItem:
-            return Fragment("True" if item.value else "False", "boolean")
+        if type(item) in (StringItem, IntegerItem, DoubleItem, BooleanItem):
+            return Fragment(repr(item.value), raw_family(item.value))
         if type(item) is NullItem:
             # Raw None: consumers guard on type, so null routes to the
             # reference evaluator (decimal/temporal literals likewise).
@@ -262,7 +256,7 @@ class _Emitter:
             prefix = "elif"
         if guards:
             body.append(pad + "{} {}:".format(prefix, " and ".join(
-                _is_num(e) for e in guards)))
+                FAMILY_GUARDS["number"].format(e) for e in guards)))
             body.append(pad + "    " + compute)
             body.append(pad + "else:")
             self.fallback(body, indent + 4)
@@ -292,85 +286,58 @@ class _Emitter:
         compute = "{} = {} {} {}".format(var, left.expr, pyop, right.expr)
         absent = [f.expr for f in (left, right) if f.maybe_absent]
         unknown = [f for f in (left, right) if f.kind is None]
-        result = Fragment(var, "boolean", bool(absent) and not general)
-        proven = left.kind or right.kind
-        if proven == "number":
-            branches = [" and ".join(_is_num(f.expr) for f in unknown)]
-        elif proven == "string":
-            branches = [" and ".join(
-                "type({}) is str".format(f.expr) for f in unknown)]
-        else:
-            # Both sides unknown: dispatch on the two orderable raw
-            # families; anything else (bool/null/nested/mixed) falls
-            # back so the interpreter raises or compares as specified.
-            branches = [
-                "{} and {}".format(_is_num(left.expr), _is_num(right.expr)),
-                "type({}) is str and type({}) is str".format(
-                    left.expr, right.expr),
+        # The guard chain is items.compare.raw_verdict's order, spelled
+        # as source.  One branch per family whose raw operator decides
+        # (the statically proven one, or every candidate when both sides
+        # are unknown) — the hot lane.  Then a non-atomic operand, ahead
+        # of the empty test: the reference raises on it even against an
+        # empty operand.  Then the empty sequence — empty for a value
+        # comparison, False for a general one, which quantifies
+        # existentially.  Whatever is left (bool/null/mixed) is the
+        # reference evaluator's; with both families proven no guard can
+        # fire and the comparison is the bare Python operator.
+        chain = []  # (test, statement); None = the reference evaluator
+        if unknown:
+            proven = left.kind or right.kind
+            families = [proven] if proven else [
+                family for family in FAMILY_GUARDS
+                if family_decides(family, value_op)
             ]
-        if not unknown:
-            # Both families proven: a guard could never fire, so the
-            # emitted comparison is the bare Python operator.
+            chain = [
+                (" and ".join(
+                    FAMILY_GUARDS[family].format(f.expr) for f in unknown
+                ), compute)
+                for family in families
+            ]
+            chain.append((" or ".join(
+                FAMILY_GUARDS[None].format(f.expr) for f in unknown), None))
+            self.count("guarded_compare")
+            self.note("comparison guarded on raw types")
+        else:
             self.count("static_compare")
             self.note("comparison specialized on static types")
-            if absent:
-                # A value comparison over an empty operand is empty; a
-                # general comparison quantifies existentially, so an
-                # empty side is False.
-                body.append(pad + "if {}:".format(" or ".join(
-                    "{} is ABSENT".format(e) for e in absent)))
-                body.append(pad + "    {} = {}".format(
-                    var, "False" if general else "ABSENT"))
-                body.append(pad + "else:")
-                body.append(pad + "    " + compute)
+        if absent:
+            chain.append((
+                " or ".join("{} is ABSENT".format(e) for e in absent),
+                "{} = {}".format(var, "False" if general else "ABSENT"),
+            ))
+        prefix = "if"
+        for test, statement in chain:
+            body.append(pad + "{} {}:".format(prefix, test))
+            if statement is None:
+                self.fallback(body, indent + 4)
             else:
-                body.append(pad + compute)
-            return result
-        self.count("guarded_compare")
-        self.note("comparison guarded on raw types")
-        if not general:
-            # Value comparison: the reference atomizes both operands
-            # before its empty check, so a non-atomic (list) operand
-            # errors even when the other side is empty.
-            body.append(pad + "if {}:".format(" or ".join(
-                "type({}) is list".format(f.expr) for f in unknown)))
-            self.fallback(body, indent + 4)
-            prefix = "if"
-            if absent:
-                body.append(pad + "if {}:".format(" or ".join(
-                    "{} is ABSENT".format(e) for e in absent)))
-                body.append(pad + "    {} = ABSENT".format(var))
-                prefix = "elif"
-            for branch in branches:
-                body.append(pad + "{} {}:".format(prefix, branch))
-                body.append(pad + "    " + compute)
-                prefix = "elif"
+                body.append(pad + "    " + statement)
+            prefix = "elif"
+        if not chain:
+            body.append(pad + compute)
+        elif unknown:
             body.append(pad + "else:")
             self.fallback(body, indent + 4)
-            return result
-        # General comparison materializes lazily left-to-right: an empty
-        # LEFT side is False before the right side is ever inspected,
-        # but a present non-atomic on either side raises.
-        prefix = "if"
-        if left.maybe_absent:
-            body.append(pad + "if {} is ABSENT:".format(left.expr))
-            body.append(pad + "    {} = False".format(var))
-            prefix = "elif"
-        list_checks = [
-            "type({}) is list".format(f.expr) for f in unknown
-        ]
-        body.append(pad + "{} {}:".format(prefix, " or ".join(list_checks)))
-        self.fallback(body, indent + 4)
-        prefix = "elif"
-        if right.maybe_absent:
-            body.append(pad + "{} {} is ABSENT:".format(prefix, right.expr))
-            body.append(pad + "    {} = False".format(var))
-        for branch in branches:
-            body.append(pad + "{} {}:".format(prefix, branch))
+        else:
+            body.append(pad + "else:")
             body.append(pad + "    " + compute)
-        body.append(pad + "else:")
-        self.fallback(body, indent + 4)
-        return result
+        return Fragment(var, "boolean", bool(absent) and not general)
 
     # -- return-expression shapes ---------------------------------------
 

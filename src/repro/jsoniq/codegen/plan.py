@@ -60,7 +60,8 @@ def stage_rdd(plan, expression, context):
     """The generated stage's RDD over ``plan``'s batches (``expression``
     is the return expression the stage was emitted for), or None to run
     the interpreter."""
-    from repro.items.columnar import ABSENT, ListColumn
+    from repro.items.columnar import ListColumn
+    from repro.items.compare import ABSENT
     from repro.jsoniq.jsonlines import _wrap_fast
     from repro.jsoniq.runtime.base import _obs_of
     from repro.jsoniq.runtime.flwor.clauses import _row_context

@@ -39,10 +39,7 @@ def _one_string_argument(
 def _parse_settings(runtime):
     """The engine's parse mode and corrupt-record field name."""
     config = runtime.config
-    return (
-        getattr(config, "parse_mode", "failfast"),
-        getattr(config, "corrupt_record_field", "_corrupt_record"),
-    )
+    return config.parse_mode, config.corrupt_record_field
 
 
 def _malformed_hook(faults, mode: str):

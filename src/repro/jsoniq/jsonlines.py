@@ -21,6 +21,7 @@ from repro.items import (
     ObjectItem,
     StringItem,
 )
+from repro.items.compare import ABSENT
 from repro.jsoniq.errors import DynamicException
 
 _WHITESPACE = " \t\r\n"
@@ -69,8 +70,6 @@ _new_integer = IntegerItem.__new__
 _new_double = DoubleItem.__new__
 _new_array = ArrayItem.__new__
 
-_ABSENT = object()
-
 
 class LazyObjectItem(ObjectItem):
     """An object item whose values wrap on first access.
@@ -113,14 +112,14 @@ class LazyObjectItem(ObjectItem):
         return list(self._raw.keys())
 
     def get_item(self, key):
-        value = self._raw.get(key, _ABSENT)
-        if value is _ABSENT:
+        value = self._raw.get(key, ABSENT)
+        if value is ABSENT:
             return None
         return _wrap_fast(value)
 
     def lookup(self, key):
-        value = self._raw.get(key, _ABSENT)
-        if value is not _ABSENT:
+        value = self._raw.get(key, ABSENT)
+        if value is not ABSENT:
             yield _wrap_fast(value)
 
     def __reduce__(self):
@@ -129,8 +128,8 @@ class LazyObjectItem(ObjectItem):
         # the raw dict instead (the wrapped values re-derive lazily).
         # Needed by the memory manager's disk tier, which round-trips
         # spilled partitions through pickle.
-        verified = getattr(self, "pushdown_verified", _ABSENT)
-        if verified is _ABSENT:
+        verified = getattr(self, "pushdown_verified", ABSENT)
+        if verified is ABSENT:
             return (LazyObjectItem, (self._raw,))
         return (_restore_lazy_object, (self._raw, verified))
 
@@ -183,6 +182,47 @@ PARSE_MODES = ("failfast", "permissive", "dropmalformed")
 CORRUPT_RECORD_FIELD = "_corrupt_record"
 
 
+class _CorruptLine:
+    """A line a ``permissive`` read could not decode."""
+
+    __slots__ = ("line",)
+
+    def __init__(self, line: str):
+        self.line = line
+
+
+def _decode_lines(lines, mode: str, on_malformed):
+    """The one JSON-Lines decode loop: yield each non-blank line's
+    decoded value through the C ``json`` decoder.  A malformed line
+    raises :class:`JsonSyntaxError` (``failfast``), is yielded as a
+    :class:`_CorruptLine` (``permissive``) or is skipped
+    (``dropmalformed``); ``on_malformed(line, error)`` is called for
+    every tolerated one."""
+    import json
+
+    if mode not in PARSE_MODES:
+        raise ValueError(
+            "unknown parse mode {!r} (expected one of {})".format(
+                mode, ", ".join(PARSE_MODES)
+            )
+        )
+    loads = json.loads
+    for line in lines:
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            yield loads(stripped)
+        except ValueError as error:
+            wrapped = JsonSyntaxError(str(error))
+            if mode == "failfast":
+                raise wrapped from error
+            if on_malformed is not None:
+                on_malformed(stripped, wrapped)
+            if mode == "permissive":
+                yield _CorruptLine(stripped)
+
+
 def iter_json_lines(
     lines,
     mode: str = "failfast",
@@ -203,25 +243,11 @@ def iter_json_lines(
     ``on_malformed(line, error)`` is called for every tolerated bad line
     (the hook the fault ledger uses to count dropped/captured records).
     """
-    if mode not in PARSE_MODES:
-        raise ValueError(
-            "unknown parse mode {!r} (expected one of {})".format(
-                mode, ", ".join(PARSE_MODES)
-            )
-        )
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            yield parse_json_line(stripped)
-        except JsonSyntaxError as error:
-            if mode == "failfast":
-                raise
-            if on_malformed is not None:
-                on_malformed(stripped, error)
-            if mode == "permissive":
-                yield ObjectItem({corrupt_field: StringItem(stripped)})
+    for record in _decode_lines(lines, mode, on_malformed):
+        if type(record) is _CorruptLine:
+            yield ObjectItem({corrupt_field: StringItem(record.line)})
+        else:
+            yield _wrap_fast(record)
 
 
 def iter_json_lines_pushed(
@@ -243,42 +269,14 @@ def iter_json_lines_pushed(
     support: :class:`LazyObjectItem` already defers value wrapping to
     the keys a query actually touches.)
 
-    Non-object records have no top-level keys, so any pushed predicate
-    rejects them definitively (an object lookup on them is the empty
-    sequence); with no predicates they pass through unchanged.
-    ``on_pruned()`` is called once per record skipped here.
+    Non-object records have no top-level keys and a permissive corrupt
+    record has only the corrupt field, so any pushed predicate rejects
+    them definitively (an object lookup on them is the empty sequence);
+    with no predicates they pass through unchanged.  ``on_pruned()`` is
+    called once per record skipped here.
     """
-    import json
-
-    if mode not in PARSE_MODES:
-        raise ValueError(
-            "unknown parse mode {!r} (expected one of {})".format(
-                mode, ", ".join(PARSE_MODES)
-            )
-        )
-    loads = json.loads
     predicates = tuple(predicates)
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = loads(stripped)
-        except ValueError as error:
-            wrapped = JsonSyntaxError(str(error))
-            if mode == "failfast":
-                raise wrapped from error
-            if on_malformed is not None:
-                on_malformed(stripped, wrapped)
-            if mode == "permissive":
-                # A corrupt record has only the corrupt field: every
-                # pushed predicate reads a missing key — definite False.
-                if predicates:
-                    if on_pruned is not None:
-                        on_pruned()
-                    continue
-                yield ObjectItem({corrupt_field: StringItem(stripped)})
-            continue
+    for record in _decode_lines(lines, mode, on_malformed):
         if type(record) is dict:
             if predicates:
                 keep = True
@@ -304,10 +302,13 @@ def iter_json_lines_pushed(
                 yield item
                 continue
         elif predicates:
-            # Object lookups on a non-object yield the empty sequence:
-            # the where clause is guaranteed to reject this record.
+            # Every pushed predicate reads a missing key: the where
+            # clause is guaranteed to reject this record.
             if on_pruned is not None:
                 on_pruned()
+            continue
+        elif type(record) is _CorruptLine:
+            yield ObjectItem({corrupt_field: StringItem(record.line)})
             continue
         yield _wrap_fast(record)
 
@@ -321,43 +322,20 @@ def shred_json_lines(
     """Decode JSON lines and shred them into one ``ColumnBatch``.
 
     The columnar twin of :func:`iter_json_lines_pushed` up to (but not
-    including) predicate evaluation: lines decode through the same C
-    ``json`` path with the same parse-mode semantics — failfast raises,
-    permissive replaces a bad line with a corrupt-record placeholder
-    (its row index lands in ``batch.corrupt_rows`` so a pushed scan can
-    prune it unconditionally, exactly like the row path), dropmalformed
-    skips it, and ``on_malformed`` fires for every tolerated bad line.
-    Predicate masks are applied later, per query, over the shared batch.
+    including) predicate evaluation, over the same decode loop: a
+    permissive corrupt line becomes a corrupt-record placeholder whose
+    row index lands in ``batch.corrupt_rows``, so a pushed scan can
+    prune it unconditionally, exactly like the row path.  Predicate
+    masks are applied later, per query, over the shared batch.
     """
-    import json
-
     from repro.items.columnar import shred_records
 
-    if mode not in PARSE_MODES:
-        raise ValueError(
-            "unknown parse mode {!r} (expected one of {})".format(
-                mode, ", ".join(PARSE_MODES)
-            )
-        )
-    loads = json.loads
     records = []
     corrupt_rows = set()
-    for line in lines:
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = loads(stripped)
-        except ValueError as error:
-            wrapped = JsonSyntaxError(str(error))
-            if mode == "failfast":
-                raise wrapped from error
-            if on_malformed is not None:
-                on_malformed(stripped, wrapped)
-            if mode == "permissive":
-                corrupt_rows.add(len(records))
-                records.append({corrupt_field: stripped})
-            continue
+    for record in _decode_lines(lines, mode, on_malformed):
+        if type(record) is _CorruptLine:
+            corrupt_rows.add(len(records))
+            record = {corrupt_field: record.line}
         records.append(record)
     batch = shred_records(records)
     if corrupt_rows:

@@ -125,11 +125,20 @@ def _row_context(
     return inner
 
 
-#: Compile-time fast paths for ``$var.key`` extraction and simple
-#: comparison predicates.  On by default; the ablation benchmark
-#: (benchmarks/test_ablation_optimizations.py) toggles this off to measure
-#: what the generic EVALUATE_EXPRESSION path costs.
-FAST_PATHS_ENABLED = True
+def _constant_lookup(expression: RuntimeIterator):
+    """``(variable, key)`` when ``expression`` is ``$variable.key`` with
+    a constant key — the operand shape the fast forms recognize at
+    compile time — else None."""
+    from repro.jsoniq.runtime.navigation import ObjectLookupIterator
+    from repro.jsoniq.runtime.primary import VariableIterator
+
+    if (
+        isinstance(expression, ObjectLookupIterator)
+        and expression._constant_key is not None
+        and isinstance(expression.source, VariableIterator)
+    ):
+        return expression.source.name, expression._constant_key
+    return None
 
 
 def _make_fast_extractor(expression: RuntimeIterator):
@@ -140,19 +149,10 @@ def _make_fast_extractor(expression: RuntimeIterator):
     lets the hot loops skip the dynamic-context / iterator machinery.
     Returns ``None`` when the expression is not of that shape.
     """
-    from repro.jsoniq.runtime.navigation import ObjectLookupIterator
-    from repro.jsoniq.runtime.primary import VariableIterator
-
-    if not FAST_PATHS_ENABLED:
+    lookup = _constant_lookup(expression)
+    if lookup is None:
         return None
-    if not isinstance(expression, ObjectLookupIterator):
-        return None
-    if expression._constant_key is None:
-        return None
-    if not isinstance(expression.source, VariableIterator):
-        return None
-    variable = expression.source.name
-    key = expression._constant_key
+    variable, key = lookup
 
     def extract(row: Dict[str, object]) -> List[Item]:
         items = row.get(variable)
@@ -169,47 +169,65 @@ def _make_fast_extractor(expression: RuntimeIterator):
     return extract
 
 
-def _make_fast_predicate(condition: RuntimeIterator):
-    """A compiled fast path for ``<key-expr> <cmp> <key-expr|literal>``
-    where-conditions — the predicate shape of every selection in the
-    paper's workloads.  Returns ``None`` when the condition is not of
-    that shape (the generic EVALUATE_EXPRESSION path handles it)."""
-    from repro.items.compare import GENERAL_TO_VALUE, VALUE_OPS
-    from repro.jsoniq.runtime.comparison import ComparisonIterator, _apply
+def _make_fast_predicate(condition: RuntimeIterator,
+                         context: DynamicContext):
+    """The row predicate of a where condition: EVALUATE_EXPRESSION's
+    effective boolean value, answered without the iterator machinery
+    whenever ``items.compare.raw_verdict`` can.
+
+    ``$var.key <cmp> ($var.key | literal)`` is the predicate shape of
+    every selection in the paper's workloads.  Its operands are read raw
+    (off the scanned record's decoded dict, or the literal's Python
+    value) and compared by the one three-valued table; an unknown
+    verdict — nulls, mixed families, non-atomics, a variable bound to
+    anything but exactly one scanned object — asks the reference
+    evaluator, which therefore words every error.
+    """
+    from repro.items.compare import (
+        ABSENT,
+        GENERAL_TO_VALUE,
+        VALUE_OPS,
+        raw_verdict,
+    )
+    from repro.jsoniq.jsonlines import LazyObjectItem
+    from repro.jsoniq.runtime.comparison import ComparisonIterator
     from repro.jsoniq.runtime.primary import LiteralIterator
 
-    if not FAST_PATHS_ENABLED or not isinstance(condition, ComparisonIterator):
-        return None
+    def reference(row: Dict[str, object]) -> bool:
+        return condition.effective_boolean_value(_row_context(context, row))
 
-    def operand_reader(expression):
-        fast = _make_fast_extractor(expression)
-        if fast is not None:
-            return fast
+    def raw_reader(expression):
         if isinstance(expression, LiteralIterator):
-            constant = [expression.item]
-            return lambda row: constant
-        return None
+            literal = getattr(expression.item, "value", None)
+            return lambda row: literal
+        lookup = _constant_lookup(expression)
+        if lookup is None:
+            return None
+        variable, key = lookup
 
-    left = operand_reader(condition.left)
-    right = operand_reader(condition.right)
+        def read(row: Dict[str, object]):
+            items = row.get(variable)
+            if (
+                type(items) is list and len(items) == 1
+                and type(items[0]) is LazyObjectItem
+            ):
+                return items[0]._raw.get(key, ABSENT)
+            return ()  # not a raw JSON scalar: unknown
+
+        return read
+
+    if not isinstance(condition, ComparisonIterator):
+        return reference
+    left = raw_reader(condition.left)
+    right = raw_reader(condition.right)
     if left is None or right is None:
-        return None
+        return reference
     op = condition.op
-    value_comparison = op in VALUE_OPS
-    value_op = op if value_comparison else GENERAL_TO_VALUE[op]
+    value_op = op if op in VALUE_OPS else GENERAL_TO_VALUE[op]
 
     def predicate(row: Dict[str, object]) -> bool:
-        left_items = left(row)
-        right_items = right(row)
-        if value_comparison and (len(left_items) > 1 or len(right_items) > 1):
-            raise TypeException(
-                "comparison operand has more than one item"
-            )
-        for mine in left_items:
-            for theirs in right_items:
-                if _apply(value_op, mine, theirs):
-                    return True
-        return False
+        verdict = raw_verdict(left(row), right(row), value_op)
+        return reference(row) if verdict is None else verdict
 
     return predicate
 
@@ -582,14 +600,7 @@ class WhereClauseIterator(ClauseIterator):
 
     def get_dataframe(self, context: DynamicContext) -> DataFrame:
         frame = self.input_clause.get_dataframe(context)
-        condition = self.condition
-        predicate = _make_fast_predicate(condition)
-        if predicate is None:
-            def predicate(row: Dict[str, object]) -> bool:
-                return condition.effective_boolean_value(
-                    _row_context(context, row)
-                )
-
+        predicate = _make_fast_predicate(self.condition, context)
         plan = self.pushdown_plan
         if plan is not None and context.runtime.flags.pushdown:
             variable = plan.variable

@@ -27,14 +27,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.items.columnar import ABSENT, PRUNED, VERIFIED
+from repro.items.columnar import PRUNED, VERIFIED
 from repro.items.compare import (
+    ABSENT,
     CODE_FALSE,
     CODE_NULL,
     CODE_NUMBER,
     CODE_STRING,
     CODE_TRUE,
     EMPTY_LEAST,
+    raw_family,
 )
 from repro.jsoniq.errors import TypeException
 
@@ -170,21 +172,20 @@ class GroupByCountKernel:
 def _raw_grouping_key(name: str, value):
     """``repro.items.compare.grouping_key`` computed straight from a raw
     column value, with the group-by clause's atomicity errors."""
-    if value is ABSENT:
-        return (EMPTY_LEAST, "", 0.0)
-    if value is None:
-        return (CODE_NULL, "", 0.0)
-    if isinstance(value, bool):  # before int: True == 1
-        return (CODE_TRUE if value else CODE_FALSE, "", 0.0)
-    if isinstance(value, str):
+    family = raw_family(value)
+    if family == "string":
         return (CODE_STRING, value, 0.0)
-    if isinstance(value, (int, float)):
+    if family == "number":
         return (CODE_NUMBER, "", float(value))
-    raise TypeException(
-        "grouping variable ${} is not atomic ({})".format(
-            name, "array" if isinstance(value, list) else "object"
+    if family == "boolean":
+        return (CODE_TRUE if value else CODE_FALSE, "", 0.0)
+    if family is None:
+        raise TypeException(
+            "grouping variable ${} is not atomic ({})".format(
+                name, "array" if isinstance(value, list) else "object"
+            )
         )
-    )
+    return (EMPTY_LEAST if family == "absent" else CODE_NULL, "", 0.0)
 
 
 def _build_recheck(wheres, context):
@@ -192,25 +193,13 @@ def _build_recheck(wheres, context):
     clause order over ``{variable: [item]}`` rows — the reference
     semantics (errors included) for rows the masks could not decide.
     Returns None when there is nothing to re-check."""
-    from repro.jsoniq.runtime.flwor.clauses import (
-        _make_fast_predicate,
-        _row_context,
-    )
+    from repro.jsoniq.runtime.flwor.clauses import _make_fast_predicate
 
     if not wheres:
         return None
-    checks = []
-    for clause in wheres:
-        fast = _make_fast_predicate(clause.condition)
-        if fast is None:
-            condition = clause.condition
-
-            def fast(row, condition=condition):
-                return condition.effective_boolean_value(
-                    _row_context(context, row)
-                )
-
-        checks.append(fast)
+    checks = [
+        _make_fast_predicate(clause.condition, context) for clause in wheres
+    ]
 
     def recheck(row) -> bool:
         for check in checks:

@@ -36,8 +36,14 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Set, Tuple
 
-from repro.items.columnar import ABSENT, scalar_verdict
-from repro.items.compare import GENERAL_TO_VALUE, VALUE_OPS
+from repro.items.compare import (
+    ABSENT,
+    GENERAL_TO_VALUE,
+    VALUE_OPS,
+    family_decides,
+    raw_family,
+    raw_verdict,
+)
 from repro.jsoniq import ast
 
 #: What a plan's scanned batches feed (:meth:`PushdownPlan.sink`).
@@ -225,13 +231,15 @@ def _operand(node: ast.AstNode, variable: str):
         and isinstance(node.key.value, str)
     ):
         return ("key", node.key.value)
-    if isinstance(node, ast.Literal) and node.kind in (
-        "string", "integer", "decimal", "double", "boolean"
-    ):
-        value = node.value
-        if isinstance(value, (str, bool, int, float)):
-            return ("lit", value)
+    if isinstance(node, ast.Literal) and _pushable(node.value):
+        return ("lit", node.value)
     return None
+
+
+def _pushable(literal) -> bool:
+    """A literal is worth pushing when the comparison table can decide
+    against it at all (strings, numbers, booleans)."""
+    return family_decides(raw_family(literal), "eq")
 
 
 def _make_raw(left, right, value_op: str) -> Callable:
@@ -239,12 +247,9 @@ def _make_raw(left, right, value_op: str) -> Callable:
 
     The operand readers are specialized per shape (key/key, key/lit,
     lit/key) so the per-record path is two dict probes and one
-    :func:`~repro.items.columnar.scalar_verdict` — this closure runs
-    once per scanned record.
+    :func:`~repro.items.compare.raw_verdict` — this closure runs once
+    per scanned record.
     """
-    py_op = VALUE_OPS[value_op][0]
-    eq_family = value_op in ("eq", "ne")
-
     if left[0] == "key":
         left_key = left[1]
         read_left = lambda record: record.get(left_key, ABSENT)  # noqa: E731
@@ -259,9 +264,7 @@ def _make_raw(left, right, value_op: str) -> Callable:
         read_right = lambda record: right_value  # noqa: E731
 
     def raw(record: dict):
-        return scalar_verdict(
-            read_left(record), read_right(record), py_op, eq_family
-        )
+        return raw_verdict(read_left(record), read_right(record), value_op)
 
     return raw
 
@@ -444,19 +447,15 @@ def annotate(flwor: ast.FlworExpression, return_iterator) -> None:
 def _iterator_operand(node, variable: str):
     """Classify a compiled comparison operand the same way
     :func:`_operand` classifies its AST counterpart."""
-    from repro.jsoniq.runtime.navigation import ObjectLookupIterator
-    from repro.jsoniq.runtime.primary import LiteralIterator, VariableIterator
+    from repro.jsoniq.runtime.flwor.clauses import _constant_lookup
+    from repro.jsoniq.runtime.primary import LiteralIterator
 
-    if (
-        isinstance(node, ObjectLookupIterator)
-        and isinstance(node.source, VariableIterator)
-        and node.source.name == variable
-        and node._constant_key is not None
-    ):
-        return ("key", node._constant_key)
+    lookup = _constant_lookup(node)
+    if lookup is not None and lookup[0] == variable:
+        return ("key", lookup[1])
     if isinstance(node, LiteralIterator):
         value = getattr(node.item, "value", None)
-        if isinstance(value, (str, bool, int, float)):
+        if _pushable(value):
             return ("lit", value)
     return None
 

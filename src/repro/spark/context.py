@@ -22,10 +22,6 @@ def _env_memory_budget() -> Optional[int]:
     return int(raw)
 
 
-def _env_adaptive_default() -> bool:
-    return os.environ.get("RUMBLE_ADAPTIVE", "1") not in ("0", "false", "")
-
-
 @shared_state
 class ColumnarLedger:
     """Per-context shred statistics of the last run's columnar scans.
@@ -84,7 +80,7 @@ class SparkConf:
             #: :mod:`repro.spark.fusion` and docs/performance.md).
             "spark.fusion.enabled": True,
             # -- Adaptive execution (see docs/performance.md) ---------------
-            "spark.adaptive.enabled": _env_adaptive_default(),
+            "spark.adaptive.enabled": True,
             "spark.adaptive.targetPartitionBytes": 1 << 20,
             "spark.adaptive.targetPartitionRecords": 4096,
             "spark.adaptive.skewFactor": 4.0,

@@ -332,7 +332,6 @@ SHAPES = {
     "absent": _NO_KEY, "null": None, "true": True, "1": 1, "1.5": 1.5,
     '"s"': "s", "[1]": [1], '{"a":1}': {"a": 1},
 }
-NON_ATOMIC = ("[1]", '{"a":1}')
 #: The scalar literals, as JSONiq source (``1.5`` is a decimal literal).
 LITERALS = ("null", "true", "1", "1.5", '"s"')
 OPERATORS = tuple(VALUE_OPS) + tuple(GENERAL_TO_VALUE)
@@ -357,7 +356,7 @@ CONSUMERS = {
 }
 
 MatrixCase = collections.namedtuple(
-    "MatrixCase", "name local distributed alone known_divergent"
+    "MatrixCase", "name local distributed one_block"
 )
 
 #: query text -> CompiledQuery.  The compiled tree is engine-independent
@@ -390,12 +389,13 @@ def _matrix_record(row, left, right=None):
 def matrix(tmp_path_factory):
     """([MatrixCase], {case name: outcome on the local iterators}).
 
-    A row the reference raises on sits **alone** in a one-record file —
-    an error aborts the query, so two such rows in one file would hide
-    each other.  All rows it answers sit **together** in one file per
-    condition, padded past the small block size so the block-size axis
-    splits it (and so its columns are mixed-kind, while a key-vs-literal
-    file's surviving rows share the literal's family and stay typed).
+    A row the reference raises on sits alone in a one-record file — an
+    error aborts the query, so two such rows in one file would hide each
+    other.  All rows it answers sit together in one file per condition.
+    A key-vs-key file is padded past the small block size, so the
+    block-size axis splits it and its columns are mixed-kind; the rows a
+    key-vs-literal condition answers share the literal's family, so
+    their column stays typed and the file stays one block.
     """
     root = str(tmp_path_factory.mktemp("matrix"))
     local = _engine(False, False, "rowscan", None, "failfast")
@@ -408,7 +408,7 @@ def matrix(tmp_path_factory):
             [dict(record, **filler) for record in records],
         )
 
-    def add(name, path, condition, alone, known=False, let=""):
+    def add(name, path, condition, one_block, let=""):
         for consumer, template in CONSUMERS.items():
             local_text, distributed = (
                 template.format(
@@ -418,7 +418,7 @@ def matrix(tmp_path_factory):
             )
             cases.append(MatrixCase(
                 "{} / {}".format(name, consumer), local_text, distributed,
-                alone, known,
+                one_block,
             ))
 
     def raises(path, condition):
@@ -450,8 +450,7 @@ def matrix(tmp_path_factory):
                         "{} over {}".format(
                             condition, json.dumps(record)
                         ),
-                        path, condition, alone=True,
-                        known=left in NON_ATOMIC or right in NON_ATOMIC,
+                        path, condition, one_block=True,
                     )
                 else:
                     answered.append(record)
@@ -459,24 +458,21 @@ def matrix(tmp_path_factory):
             if key not in together:
                 together[key] = write(
                     "together{}.json".format(len(together)), answered,
-                    pad=4608 // len(answered),
+                    pad=4608 // len(answered) if key_vs_key else 0,
                 )
             add(condition + " over the rows it answers", together[key],
-                condition, alone=False)
+                condition, one_block=not key_vs_key)
 
     # Bindings that are not one scanned object: a fast form must hand
     # them to the reference evaluator, whose wording they then share.
     bindings = write("bindings.json", [{"a": 1, "g": 1, "l": 1}])
-    for name, let, condition, known in (
-        ("two-item binding, value", "let $p := ($o, $o)", "$p.l eq 1", True),
-        ("two-item binding, general", "let $p := ($o, $o)", "$p.l = 1",
-         False),
-        ("constructed binding", 'let $p := { "l": $o.l }', "$p.l eq 1",
-         False),
-        ("empty binding", "let $p := ()", "$p.l eq 1", False),
+    for name, let, condition in (
+        ("two-item binding, value", "let $p := ($o, $o)", "$p.l eq 1"),
+        ("two-item binding, general", "let $p := ($o, $o)", "$p.l = 1"),
+        ("constructed binding", 'let $p := { "l": $o.l }', "$p.l eq 1"),
+        ("empty binding", "let $p := ()", "$p.l eq 1"),
     ):
-        add(name, bindings, condition, alone=True, known=known,
-            let="\n" + let)
+        add(name, bindings, condition, one_block=True, let="\n" + let)
 
     reference = {
         case.name: _matrix_outcome(local, case.local) for case in cases
@@ -484,58 +480,38 @@ def matrix(tmp_path_factory):
     return cases, reference
 
 
-def _matrix_disagreements(engine, block_size, matrix, known_divergent):
+@pytest.mark.parametrize("fusion,adaptive,level,block_size", POINTS)
+def test_comparison_matrix_agrees_with_local_iterators(
+    fusion, adaptive, level, block_size, matrix
+):
     cases, reference = matrix
+    engine = _engine(fusion, adaptive, level, block_size, "failfast")
     disagreements = []
     for case in cases:
-        if case.known_divergent != known_divergent:
-            continue
-        if case.alone and block_size is not None:
-            continue  # a one-record file is one block at either size
+        if case.one_block and block_size is not None:
+            continue  # the same single partition at either size
         outcome = _matrix_outcome(engine, case.distributed)
         if outcome != reference[case.name]:
             disagreements.append(
                 (case.name, reference[case.name], outcome)
             )
-    return disagreements
-
-
-@pytest.mark.parametrize("fusion,adaptive,level,block_size", POINTS)
-def test_comparison_matrix_agrees_with_local_iterators(
-    fusion, adaptive, level, block_size, matrix
-):
-    engine = _engine(fusion, adaptive, level, block_size, "failfast")
-    disagreements = _matrix_disagreements(engine, block_size, matrix, False)
     assert not disagreements, "{} of the matrix diverged, e.g. {}".format(
         len(disagreements), disagreements[:3]
     )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a present array/object operand: the fast predicate words the "
-           "error itself or, against an absent operand, prunes the row",
-)
-@pytest.mark.parametrize(
-    "fusion,adaptive,level",
-    list(itertools.product((False, True), (False, True), SCAN_LEVELS)),
-)
-def test_comparison_matrix_known_divergences(
-    fusion, adaptive, level, matrix
-):
-    engine = _engine(fusion, adaptive, level, None, "failfast")
-    assert not _matrix_disagreements(engine, None, matrix, True)
-
-
 def test_comparison_matrix_is_not_vacuous(matrix):
     cases, reference = matrix
     kinds = collections.Counter(
-        (case.alone, reference[case.name][0]) for case in cases
+        reference[case.name][0] for case in cases
     )
-    # 12 operators x (64 key pairs + 8 shapes x 5 literals) x 4 consumers.
-    assert kinds[True, "error"] >= 2000
-    assert kinds[False, "error"] == 0
-    assert kinds[False, "items"] == len(OPERATORS) * 6 * len(CONSUMERS)
+    # One answered case per condition (12 operators x (key + 5 literals))
+    # and consumer, plus the three bindings that answer; every other
+    # cell of 12 x (64 pairs + 8 shapes x 5 literals) x 4 raises alone.
+    assert kinds["items"] == (len(OPERATORS) * 6 + 3) * len(CONSUMERS)
+    assert kinds["error"] > 2000
+    assert sum(not case.one_block for case in cases) \
+        == len(OPERATORS) * len(CONSUMERS)
     messages = {
         outcome[2] for outcome in reference.values()
         if outcome[0] == "error"

@@ -116,14 +116,10 @@ def engine():
     built = make_engine(
         executors=2, parallelism=4, columnar=True, codegen=True
     )
-    # The snapshots pin exact text, so the adaptive/memory/columnar/
-    # codegen lines must not follow RUMBLE_ADAPTIVE /
-    # RUMBLE_MEMORY_BUDGET / RUMBLE_COLUMNAR / RUMBLE_CODEGEN from the
-    # environment (the memory-pressure CI job runs the whole suite
-    # with its knob turned).
-    context = built.spark.spark_context
-    context.adaptive.enabled = True
-    context.memory.set_budget(None)
+    # The snapshots pin exact text, so the memory line must not follow
+    # RUMBLE_MEMORY_BUDGET from the environment (the memory-pressure CI
+    # job runs the whole suite with that knob turned).
+    built.spark.spark_context.memory.set_budget(None)
     return built
 
 

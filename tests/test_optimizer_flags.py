@@ -1,10 +1,9 @@
 """The optimizer switches are resolved once, and every surface reads
 that one resolution.
 
-* :class:`OptimizerFlags` — explicit config over environment over
-  default, with the dependency chain codegen ⇒ columnar ⇒ pushdown
-  (what the CI "env default flipped off" steps used to probe by
-  re-running whole suites);
+* :class:`OptimizerFlags` — read from the engine's config and nothing
+  else (no environment variable), with the dependency chain
+  codegen ⇒ columnar ⇒ pushdown;
 * the scan has one prologue: the row and batch readers report the same
   ``rumble.pushdown.*`` counters for the same query.
 
@@ -36,38 +35,21 @@ def data_path(jsonl_file):
 
 
 class TestResolution:
-    @pytest.fixture(autouse=True)
-    def _clean_environment(self, monkeypatch):
-        monkeypatch.delenv("RUMBLE_COLUMNAR", raising=False)
-        monkeypatch.delenv("RUMBLE_CODEGEN", raising=False)
-
     def test_default_is_everything_on(self):
         assert OptimizerFlags.resolve(RumbleConfig()) == OptimizerFlags(
             pushdown=True, columnar=True, codegen=True
         )
 
-    @pytest.mark.parametrize("value", ["0", "false", ""])
-    def test_environment_turns_a_default_off(self, monkeypatch, value):
-        monkeypatch.setenv("RUMBLE_CODEGEN", value)
-        flags = OptimizerFlags.resolve(RumbleConfig())
-        assert (flags.columnar, flags.codegen) == (True, False)
-        monkeypatch.setenv("RUMBLE_COLUMNAR", value)
-        flags = OptimizerFlags.resolve(RumbleConfig())
-        assert (flags.pushdown, flags.columnar) == (True, False)
-
     def test_explicit_config_beats_environment(self, monkeypatch):
+        # The variables that once supplied the defaults are not inputs.
         monkeypatch.setenv("RUMBLE_COLUMNAR", "0")
         monkeypatch.setenv("RUMBLE_CODEGEN", "0")
+        assert OptimizerFlags.resolve(RumbleConfig()) \
+            == OptimizerFlags(True, True, True)
         flags = OptimizerFlags.resolve(
-            RumbleConfig(columnar=True, codegen=True)
+            RumbleConfig(columnar=True, codegen=False)
         )
-        assert flags == OptimizerFlags(True, True, True)
-        monkeypatch.setenv("RUMBLE_COLUMNAR", "1")
-        monkeypatch.setenv("RUMBLE_CODEGEN", "1")
-        flags = OptimizerFlags.resolve(
-            RumbleConfig(columnar=False, codegen=False)
-        )
-        assert flags == OptimizerFlags(True, False, False)
+        assert flags == OptimizerFlags(True, True, False)
 
     @pytest.mark.parametrize("level", sorted(SCAN_LEVELS))
     def test_dependency_chain(self, level):
@@ -82,16 +64,16 @@ class TestResolution:
             OptimizerFlags(pushdown, columnar, codegen)
         ) == effective
 
-    def test_environment_default_cannot_outrun_its_prerequisite(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("RUMBLE_COLUMNAR", "0")
-        monkeypatch.setenv("RUMBLE_CODEGEN", "1")
-        assert not OptimizerFlags.resolve(RumbleConfig()).codegen
+    def test_environment_default_cannot_outrun_its_prerequisite(self):
+        """A level left at its default (on) is still off when the level
+        below it was turned off."""
+        assert not OptimizerFlags.resolve(
+            RumbleConfig(columnar=False)
+        ).codegen
 
-    def test_engine_resolves_once(self, monkeypatch):
+    def test_engine_resolves_once(self):
         engine = make_engine(executors=2, parallelism=4)
-        monkeypatch.setenv("RUMBLE_COLUMNAR", "0")
+        engine.config.columnar = False
         assert engine.runtime.flags == OptimizerFlags(True, True, True)
 
 
