@@ -169,3 +169,40 @@ class TestCsvFile:
             "return $p.name".format(csv_path)
         )
         assert out == ["ada", "no-age"]
+
+
+class TestPartitionCountArgument:
+    """The optional partition count of the five RDD-producing functions:
+    one wording for every rejection, named after the function."""
+
+    @pytest.mark.parametrize("function,first", [
+        ("json-file", '"{jsonl}"'),
+        ("structured-json-file", '"{jsonl}"'),
+        ("parallelize", "(1, 2)"),
+        ("text-file", '"{jsonl}"'),
+        ("csv-file", '"{csv}"'),
+    ])
+    def test_rejections_name_the_function(
+        self, function, first, run, jsonl_file, tmp_path
+    ):
+        csv = tmp_path / "t.csv"
+        csv.write_text("a,b\n1,2\n")
+        first = first.format(jsonl=jsonl_file([{"a": 1}]), csv=csv)
+
+        def message(second):
+            # Looked up at run time, so static typing cannot answer first.
+            with pytest.raises(TypeException) as info:
+                run('{}({}, {{"n": {}}}.n)'.format(function, first, second))
+            return str(info.value)
+
+        assert message('"x"') == (
+            "[XPTY0004] {}() partition count must be a number"
+            .format(function)
+        )
+        assert message("{}") == (
+            "[XPTY0004] {} partitions must be atomic, got object"
+            .format(function)
+        )
+        assert run(
+            'count({}({}, {{"n": 2}}.n))'.format(function, first)
+        ) == [2 if function == "parallelize" else 1]
