@@ -28,6 +28,7 @@ sanitizer hierarchy (``items.columnar.batch_cache``).
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import compress
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.items.compare import (
@@ -46,11 +47,16 @@ MISSING = 2
 
 #: Per-row predicate verdicts over a batch (see :meth:`apply_predicates`):
 #: ``PRUNED`` rows are definitively rejected, ``VERIFIED`` rows proved
-#: every pushed predicate true (the retained where clause may skip
-#: re-evaluation), ``RETAINED`` rows need the reference re-check.
+#: every pushed predicate true, ``RETAINED`` rows need the reference
+#: re-check.  The last two never leave this module: a scan's consumers
+#: see only the rows :meth:`MaskedBatch.survivors` resolved.
 PRUNED = 0
 RETAINED = 1
 VERIFIED = 2
+
+#: One predicate's three-valued verdict on a row -> the status it alone
+#: would give the row.
+_VERDICT_STATUS = {True: VERIFIED, False: PRUNED, None: RETAINED}
 
 #: Column kinds.  ``number`` unifies integer and double columns;
 #: ``mixed`` is the per-column escape (raw values, boxed on demand).
@@ -259,18 +265,12 @@ class ColumnBatch:
             record[key] = None if flag == NULL else column.value_at(row)
         return record
 
-    def unshred_row(self, row: int, verified: bool = False):
+    def unshred_row(self, row: int):
         """Box one row back into an Item — byte-identical to what the
         row-at-a-time scan builds for the same record."""
-        from repro.jsoniq.jsonlines import LazyObjectItem, _wrap_fast
+        from repro.jsoniq.jsonlines import _wrap_fast
 
-        record = self.rebuild_record(row)
-        if type(record) is dict:
-            item = LazyObjectItem(record)
-            if verified:
-                item.pushdown_verified = True
-            return item
-        return _wrap_fast(record)
+        return _wrap_fast(self.rebuild_record(row))
 
     def iter_items(self) -> Iterator[object]:
         """Every row boxed, in row order (the plain boundary, no mask)."""
@@ -284,24 +284,24 @@ class ColumnBatch:
 
         ``predicates`` are :class:`PushedPredicate`-shaped objects (a
         ``spec`` triple for the column kernels plus the ``raw`` closure
-        used for escaped rows).  Verdict combination matches
-        ``iter_json_lines_pushed`` exactly: any definite False prunes,
-        all definite True verifies, anything else retains the row for
-        the reference re-check.
+        used for escaped rows), in clause order.  Verdict combination
+        matches ``iter_json_lines_pushed`` exactly: a row's first verdict
+        that is not a definite True decides it — False prunes, unknown
+        retains the row for the reference re-check (a *later* False must
+        not prune it: the earlier where may raise on it) — and a row no
+        predicate decides against is verified.
         """
-        count = self.row_count
         if not predicates:
             # No pushed predicates: nothing proves a row, nothing prunes
             # it — the row path would box everything unverified.
-            return [RETAINED] * count
-        statuses = [VERIFIED] * count
+            return [RETAINED] * self.row_count
+        statuses = None
         for predicate in predicates:
-            mask = self._mask(predicate)
-            for row, verdict in enumerate(mask):
-                if verdict is False:
-                    statuses[row] = PRUNED
-                elif verdict is not True and statuses[row] == VERIFIED:
-                    statuses[row] = RETAINED
+            decided = map(_VERDICT_STATUS.__getitem__, self._mask(predicate))
+            statuses = list(decided) if statuses is None else [
+                status if status != VERIFIED else verdict
+                for status, verdict in zip(statuses, decided)
+            ]
         # A permissive-mode corrupt record is pruned unconditionally by
         # the pushed row path (it holds only the corrupt field), even if
         # a predicate were to target that field — replicate exactly.
@@ -394,17 +394,39 @@ class MaskedBatch:
     def row_count(self) -> int:
         return self.batch.row_count
 
-    def selected_count(self) -> int:
-        return sum(1 for status in self.statuses if status != PRUNED)
+    def pruned_count(self) -> int:
+        return self.statuses.count(PRUNED)
 
-    def iter_boxed(self):
+    def selected_count(self) -> int:
+        return self.row_count - self.pruned_count()
+
+    def survivors(self, recheck=None, boxed: bool = False):
+        """The rows that pass, in row order — the one place a verdict is
+        resolved.  A pruned row is skipped and a verified row passes; a
+        row the masks could not decide is boxed and passes when
+        ``recheck(item)`` (:meth:`PushdownPlan.recheck`: the covered
+        where conditions, reference semantics and errors) says so, or
+        unconditionally when there is nothing to re-check.  Yields row
+        indices, or with ``boxed`` the rows' items (a re-checked row is
+        boxed once)."""
+        unshred = self.batch.unshred_row
+        statuses = self.statuses
+        # PRUNED is 0, so compress() skips the pruned rows at C speed.
+        for row in compress(range(len(statuses)), statuses):
+            item = None
+            if recheck is not None and statuses[row] != VERIFIED:
+                item = unshred(row)
+                if not recheck(item):
+                    continue
+            if not boxed:
+                yield row
+            else:
+                yield unshred(row) if item is None else item
+
+    def iter_boxed(self, recheck=None):
         """Box every surviving row in row order — the automatic boundary
         to operators that still pull one Item at a time."""
-        batch = self.batch
-        for row, status in enumerate(self.statuses):
-            if status == PRUNED:
-                continue
-            yield batch.unshred_row(row, verified=status == VERIFIED)
+        return self.survivors(recheck, boxed=True)
 
 
 def shred_records(records: Sequence[object],

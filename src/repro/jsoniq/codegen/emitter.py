@@ -102,7 +102,7 @@ class _Emitter:
         pad = " " * indent
         body.append(pad + "if _fb is not None:")
         body.append(pad + "    _fb.inc()")
-        body.append(pad + "yield from _ref_emit(_unshred(_row, _st == 2))")
+        body.append(pad + "yield from _ref_emit(_unshred(_row))")
         body.append(pad + "continue")
 
     # -- fragment compilation -------------------------------------------
@@ -243,10 +243,10 @@ class _Emitter:
         if guards:
             self.note("arithmetic guarded on raw types")
             # The reference atomizes both operands before its empty
-            # check, so a non-atomic (list) operand errors even when
-            # the other side is empty — keep that ordering.
+            # check, so a non-atomic (array or object) operand errors
+            # even when the other side is empty — keep that ordering.
             body.append(pad + "if {}:".format(" or ".join(
-                "type({}) is list".format(e) for e in guards)))
+                FAMILY_GUARDS[None].format(e) for e in guards)))
             self.fallback(body, indent + 4)
         prefix = "if"
         if absent:
@@ -353,11 +353,10 @@ class _Emitter:
         if (isinstance(expression, VariableIterator)
                 and expression.name == self.variable):
             # Bare ``return $v``: the one shape that must box the full
-            # record — reuse the batch's lazy unshredder (it tags
-            # pushdown-verified rows exactly like the masked row path).
+            # record — reuse the batch's lazy unshredder.
             self.count("boxed_return")
             self.note("bare return boxes via the batch unshredder")
-            body.append(pad + "yield _unshred(_row, _st == 2)")
+            body.append(pad + "yield _unshred(_row)")
             return
         if isinstance(expression, ObjectConstructorIterator):
             parts = []
@@ -402,14 +401,12 @@ class EmittedStage:
         self.params = params
 
 
-def emit_source(variable: str, wheres, expression) -> EmittedStage:
-    """Emit the full ``_codegen_stage`` source for one pipeline.
-
-    ``wheres`` is the covered where prefix (already pushed into the
-    scan's predicate masks); non-empty means surviving RETAINED rows
-    still need the exact recheck the masked row path applies.  Raises
-    :class:`Unsupported` when any piece of the chain falls outside the
-    specialized shapes.
+def emit_source(variable: str, expression) -> EmittedStage:
+    """Emit the full ``_codegen_stage`` source for one pipeline: the
+    return expression's fragments inside the batch loop protocol (the
+    covered where prefix is the scan's: ``survivors`` yields only rows
+    that passed it).  Raises :class:`Unsupported` when the expression
+    falls outside the specialized shapes.
     """
     emitter = _Emitter(variable)
     rows: List[str] = []
@@ -420,16 +417,13 @@ def emit_source(variable: str, wheres, expression) -> EmittedStage:
     lines.append("    _ref_emit = _rt.ref_emit")
     lines.append("    _fb = _rt.fallback_rows")
     lines.append("    ABSENT = _rt.absent")
-    recheck = bool(wheres)
-    if recheck:
-        lines.append("    _recheck = _rt.recheck")
+    lines.append("    _recheck = _rt.recheck")
     if emitter.columns:
         lines.append("    _ListColumn = _rt.list_column")
     for index, node in enumerate(emitter.params):
         lines.append("    _p{0} = _rt.params[{0}]".format(index))
     lines.append("    for _masked in _batches:")
     lines.append("        _batch = _masked.batch")
-    lines.append("        _statuses = _masked.statuses")
     lines.append("        _escaped = _batch.escaped")
     lines.append("        _unshred = _batch.unshred_row")
     if emitter.columns:
@@ -450,26 +444,10 @@ def emit_source(variable: str, wheres, expression) -> EmittedStage:
             lines.append("        else:")
             lines.append("            {} = _col.validity".format(flags))
             lines.append("            {} = _col.values".format(vals))
-    lines.append("        for _row in range(_batch.row_count):")
-    lines.append("            _st = _statuses[_row]")
-    lines.append("            if _st == 0:")
-    lines.append("                continue")
+    lines.append("        for _row in _masked.survivors(_recheck):")
     lines.append("            if _row in _escaped:")
-    lines.append("                _item = _unshred(_row, _st == 2)")
-    if recheck:
-        lines.append(
-            "                if _st != 2 and not _recheck({{{!r}: [_item]}}):"
-            .format(variable)
-        )
-        lines.append("                    continue")
-    lines.append("                yield from _ref_emit(_item)")
+    lines.append("                yield from _ref_emit(_unshred(_row))")
     lines.append("                continue")
-    if recheck:
-        lines.append(
-            "            if _st != 2 and not _recheck"
-            "({{{!r}: [_unshred(_row)]}}):".format(variable)
-        )
-        lines.append("                continue")
     lines.extend(rows)
     source = "\n".join(lines) + "\n"
     summary = "; ".join(emitter._summary) or "straight-through loop"

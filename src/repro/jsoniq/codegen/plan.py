@@ -65,7 +65,6 @@ def stage_rdd(plan, expression, context):
     from repro.jsoniq.jsonlines import _wrap_fast
     from repro.jsoniq.runtime.base import _obs_of
     from repro.jsoniq.runtime.flwor.clauses import _row_context
-    from repro.jsoniq.runtime.flwor.columnar import _build_recheck
     from repro.jsoniq.runtime.flwor.pushdown import SINK_GENERATED
 
     batches = plan.batches(context, SINK_GENERATED)
@@ -88,7 +87,7 @@ def stage_rdd(plan, expression, context):
     bundle = _RuntimeBundle(
         wrap=_wrap_fast,
         ref_emit=ref_emit,
-        recheck=_build_recheck(plan.wheres, context),
+        recheck=plan.recheck(context),
         fallback_rows=fallback_rows,
         params=tuple(
             node.materialize_local(context)[0].to_python()

@@ -8,7 +8,7 @@ These are the two RDD-producing function iterators of the paper's Section
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 from repro.items import Item, item_from_python
 from repro.jsoniq.errors import DynamicException, TypeException
@@ -34,6 +34,36 @@ def _one_string_argument(
     if item is None or not item.is_string:
         raise TypeException(name + "() requires one string argument")
     return item.value
+
+
+def _partition_count(
+    argument: Optional[RuntimeIterator], context: DynamicContext, name: str
+) -> Optional[int]:
+    """The optional partition-count argument of ``name()``, or None when
+    the call has none."""
+    if argument is None:
+        return None
+    item = argument.evaluate_atomic(context, name + " partitions")
+    if item is None or not item.is_numeric:
+        raise TypeException(name + "() partition count must be a number")
+    return int(item.value)
+
+
+class _RddFunctionIterator(RuntimeIterator):
+    """A function that produces an RDD (``get_rdd``) from its first
+    argument and an optional partition count; the local API streams the
+    RDD back partition by partition."""
+
+    def __init__(self, arguments: List[RuntimeIterator]):
+        super().__init__(arguments)
+        self.argument = arguments[0]
+        self.partitions = arguments[1] if len(arguments) > 1 else None
+
+    def _generate(self, context: DynamicContext) -> Iterator[Item]:
+        return self.get_rdd(context).to_local_iterator()
+
+    def is_rdd(self, context: DynamicContext) -> bool:
+        return True
 
 
 def _parse_settings(runtime):
@@ -79,20 +109,9 @@ def _json_lines_reader(on_malformed, mode: str, corrupt_field: str):
 
 
 @iterator_function("json-file", [1, 2])
-class JsonFileIterator(RuntimeIterator):
+class JsonFileIterator(_RddFunctionIterator):
     """``json-file($path[, $partitions])`` — a partitioned read of a
     JSON-Lines file, mapping text lines straight to items."""
-
-    def __init__(self, arguments: List[RuntimeIterator]):
-        super().__init__(arguments)
-        self.path = arguments[0]
-        self.partitions = arguments[1] if len(arguments) > 1 else None
-
-    def _generate(self, context: DynamicContext) -> Iterator[Item]:
-        return self.get_rdd(context).to_local_iterator()
-
-    def is_rdd(self, context: DynamicContext) -> bool:
-        return True
 
     def get_rdd(self, context: DynamicContext):
         return self.scan(context)
@@ -100,17 +119,10 @@ class JsonFileIterator(RuntimeIterator):
     def _resolve(self, context: DynamicContext):
         """(runtime, path, min_partitions) of this read."""
         runtime = _runtime(context)
-        path = _one_string_argument(self.path, context, "json-file")
-        min_partitions = None
-        if self.partitions is not None:
-            partitions_item = self.partitions.evaluate_atomic(
-                context, "json-file partitions"
-            )
-            if partitions_item is None or not partitions_item.is_numeric:
-                raise TypeException(
-                    "json-file() partition count must be a number"
-                )
-            min_partitions = int(partitions_item.value)
+        path = _one_string_argument(self.argument, context, "json-file")
+        min_partitions = _partition_count(
+            self.partitions, context, "json-file"
+        )
         return runtime, path, min_partitions
 
     def scan(self, context: DynamicContext, plan=None, batches: bool = False):
@@ -120,13 +132,14 @@ class JsonFileIterator(RuntimeIterator):
 
         The item form decodes each block's lines straight to items,
         pruning records a pushed predicate definitely rejects before any
-        item is built.  With ``batches`` each block instead becomes one
-        :class:`~repro.items.columnar.MaskedBatch` — same decode, same
-        three-valued predicate semantics (vectorized into per-column
-        masks) — whose consumers box surviving rows at the boundary
-        (:meth:`MaskedBatch.iter_boxed`) or run batch kernels over the
-        columns directly.  Both forms report the same
-        ``rumble.pushdown.*`` counters; the batch form adds the
+        item is built and re-checking the ones it cannot decide
+        (``plan.recheck``).  With ``batches`` each block instead becomes
+        one :class:`~repro.items.columnar.MaskedBatch` — same decode,
+        same three-valued predicate semantics (vectorized into
+        per-column masks) — whose consumers resolve and box surviving
+        rows at the boundary (:meth:`MaskedBatch.iter_boxed`) or run
+        batch kernels over ``survivors`` directly.  Both forms report
+        the same ``rumble.pushdown.*`` counters; the batch form adds the
         ``rumble.columnar.*`` family.
         """
         from repro.jsoniq.runtime.base import _obs_of
@@ -181,6 +194,7 @@ class JsonFileIterator(RuntimeIterator):
             on_pruned = (
                 records_pruned.inc if records_pruned is not None else None
             )
+            recheck = plan.recheck(context)
 
             def read(lines_iter) -> Iterator[Item]:
                 return iter_json_lines_pushed(
@@ -190,6 +204,7 @@ class JsonFileIterator(RuntimeIterator):
                     corrupt_field=corrupt_field,
                     on_malformed=on_malformed,
                     on_pruned=on_pruned,
+                    recheck=recheck,
                 )
 
             return lines.map_partitions(read)
@@ -198,7 +213,7 @@ class JsonFileIterator(RuntimeIterator):
         # block fingerprint, but only under ``failfast`` parsing: the
         # tolerant modes report every malformed line to the fault ledger
         # per scan, which a cache hit would silence.
-        from repro.items.columnar import BATCH_CACHE, PRUNED, MaskedBatch
+        from repro.items.columnar import BATCH_CACHE, MaskedBatch
         from repro.jsoniq.jsonlines import shred_json_lines
 
         counters = None
@@ -240,8 +255,8 @@ class JsonFileIterator(RuntimeIterator):
                 )
                 if key is not None:
                     BATCH_CACHE.put(key, batch)
-            statuses = batch.apply_predicates(predicates)
-            pruned = statuses.count(PRUNED) if predicates else 0
+            masked = MaskedBatch(batch, batch.apply_predicates(predicates))
+            pruned = masked.pruned_count()
             if counters is not None:
                 counters["batches"].inc()
                 counters["shredded"].inc(batch.shredded_count)
@@ -267,7 +282,7 @@ class JsonFileIterator(RuntimeIterator):
                         else "(no objects sampled)"
                     ),
                 )
-            yield MaskedBatch(batch, statuses)
+            yield masked
 
         return RDD(
             context_, compute, len(blocks),
@@ -281,40 +296,22 @@ class JsonLinesIterator(JsonFileIterator):
 
 
 @iterator_function("structured-json-file", [1, 2])
-class StructuredJsonFileIterator(RuntimeIterator):
+class StructuredJsonFileIterator(_RddFunctionIterator):
     """``structured-json-file($path[, $partitions])`` — the DataFrame
     read path: schema inference plus record coercion, honouring the same
     parse modes as ``json-file`` (a corrupt line becomes a row whose
     fields are null except the corrupt-record column)."""
-
-    def __init__(self, arguments: List[RuntimeIterator]):
-        super().__init__(arguments)
-        self.path = arguments[0]
-        self.partitions = arguments[1] if len(arguments) > 1 else None
-
-    def _generate(self, context: DynamicContext) -> Iterator[Item]:
-        return self.get_rdd(context).to_local_iterator()
-
-    def is_rdd(self, context: DynamicContext) -> bool:
-        return True
 
     def get_rdd(self, context: DynamicContext):
         from repro.jsoniq.jsonlines import _wrap_fast
 
         runtime = _runtime(context)
         path = _one_string_argument(
-            self.path, context, "structured-json-file"
+            self.argument, context, "structured-json-file"
         )
-        min_partitions = None
-        if self.partitions is not None:
-            partitions_item = self.partitions.evaluate_atomic(
-                context, "structured-json-file partitions"
-            )
-            if partitions_item is None or not partitions_item.is_numeric:
-                raise TypeException(
-                    "structured-json-file() partition count must be a number"
-                )
-            min_partitions = int(partitions_item.value)
+        min_partitions = _partition_count(
+            self.partitions, context, "structured-json-file"
+        )
         mode, corrupt_field = _parse_settings(runtime)
         frame = runtime.spark.read.json(
             path, min_partitions, mode=mode, corrupt_field=corrupt_field,
@@ -324,49 +321,25 @@ class StructuredJsonFileIterator(RuntimeIterator):
 
 
 @iterator_function("parallelize", [1, 2])
-class ParallelizeIterator(RuntimeIterator):
+class ParallelizeIterator(_RddFunctionIterator):
     """``parallelize($seq[, $partitions])`` — force a local sequence onto
     the cluster, triggering Spark-enabled behaviour downstream."""
 
-    def __init__(self, arguments: List[RuntimeIterator]):
-        super().__init__(arguments)
-        self.source = arguments[0]
-        self.partitions = arguments[1] if len(arguments) > 1 else None
-
-    def _generate(self, context: DynamicContext) -> Iterator[Item]:
-        return self.get_rdd(context).to_local_iterator()
-
-    def is_rdd(self, context: DynamicContext) -> bool:
-        return True
-
     def get_rdd(self, context: DynamicContext):
         runtime = _runtime(context)
-        slices = None
-        if self.partitions is not None:
-            slices_item = self.partitions.evaluate_atomic(
-                context, "parallelize partitions"
-            )
-            if slices_item is None or not slices_item.is_numeric:
-                raise TypeException(
-                    "parallelize() partition count must be a number"
-                )
-            slices = int(slices_item.value)
-        items = self.source.materialize(context)
+        slices = _partition_count(self.partitions, context, "parallelize")
+        items = self.argument.materialize(context)
         return runtime.spark.spark_context.parallelize(items, slices)
 
 
 @iterator_function("collection", [1])
-class CollectionIterator(RuntimeIterator):
+class CollectionIterator(_RddFunctionIterator):
     """``collection($name)`` — a named collection registered with the
     engine, resolving either to a storage URI or to in-memory items."""
 
-    def __init__(self, arguments: List[RuntimeIterator]):
-        super().__init__(arguments)
-        self.name = arguments[0]
-
     def _resolve(self, context: DynamicContext):
         runtime = _runtime(context)
-        name = _one_string_argument(self.name, context, "collection")
+        name = _one_string_argument(self.argument, context, "collection")
         try:
             return runtime.collections[name]
         except KeyError:
@@ -374,15 +347,9 @@ class CollectionIterator(RuntimeIterator):
                 "unknown collection {!r}".format(name), code="FODC0002"
             ) from None
 
-    def _generate(self, context: DynamicContext) -> Iterator[Item]:
-        return self.get_rdd(context).to_local_iterator()
-
-    def is_rdd(self, context: DynamicContext) -> bool:
-        return True
-
     def get_rdd(self, context: DynamicContext):
         runtime = _runtime(context)
-        name = _one_string_argument(self.name, context, "collection")
+        name = _one_string_argument(self.argument, context, "collection")
         cached = runtime.collection_rdds.get(name)
         if cached is not None:
             return cached
@@ -413,59 +380,30 @@ class CollectionIterator(RuntimeIterator):
 
 
 @iterator_function("text-file", [1, 2])
-class TextFileIterator(RuntimeIterator):
+class TextFileIterator(_RddFunctionIterator):
     """``text-file($path[, $partitions])`` — each line as a string item,
     read through the same partitioned storage layer as json-file."""
-
-    def __init__(self, arguments: List[RuntimeIterator]):
-        super().__init__(arguments)
-        self.path = arguments[0]
-        self.partitions = arguments[1] if len(arguments) > 1 else None
-
-    def _generate(self, context: DynamicContext) -> Iterator[Item]:
-        return self.get_rdd(context).to_local_iterator()
-
-    def is_rdd(self, context: DynamicContext) -> bool:
-        return True
 
     def get_rdd(self, context: DynamicContext):
         from repro.items import StringItem
 
         runtime = _runtime(context)
-        path = _one_string_argument(self.path, context, "text-file")
-        min_partitions = None
-        if self.partitions is not None:
-            partitions_item = self.partitions.evaluate_atomic(
-                context, "text-file partitions"
-            )
-            if partitions_item is None or not partitions_item.is_numeric:
-                raise TypeException(
-                    "text-file() partition count must be a number"
-                )
-            min_partitions = int(partitions_item.value)
+        path = _one_string_argument(self.argument, context, "text-file")
+        min_partitions = _partition_count(
+            self.partitions, context, "text-file"
+        )
         lines = runtime.spark.spark_context.text_file(path, min_partitions)
         return lines.map(StringItem)
 
 
 @iterator_function("csv-file", [1, 2])
-class CsvFileIterator(RuntimeIterator):
+class CsvFileIterator(_RddFunctionIterator):
     """``csv-file($path[, $partitions])`` — CSV with a header row, each
     record becoming an object; numeric-looking fields become numbers.
 
     The header is read once on the driver; partitions then parse their
     own lines, skipping the header line in the first block.
     """
-
-    def __init__(self, arguments: List[RuntimeIterator]):
-        super().__init__(arguments)
-        self.path = arguments[0]
-        self.partitions = arguments[1] if len(arguments) > 1 else None
-
-    def _generate(self, context: DynamicContext) -> Iterator[Item]:
-        return self.get_rdd(context).to_local_iterator()
-
-    def is_rdd(self, context: DynamicContext) -> bool:
-        return True
 
     def get_rdd(self, context: DynamicContext):
         import csv as csv_module
@@ -474,17 +412,10 @@ class CsvFileIterator(RuntimeIterator):
         from repro.jsoniq.jsonlines import _wrap_fast
 
         runtime = _runtime(context)
-        path = _one_string_argument(self.path, context, "csv-file")
-        min_partitions = None
-        if self.partitions is not None:
-            partitions_item = self.partitions.evaluate_atomic(
-                context, "csv-file partitions"
-            )
-            if partitions_item is None or not partitions_item.is_numeric:
-                raise TypeException(
-                    "csv-file() partition count must be a number"
-                )
-            min_partitions = int(partitions_item.value)
+        path = _one_string_argument(self.argument, context, "csv-file")
+        min_partitions = _partition_count(
+            self.partitions, context, "csv-file"
+        )
         local = storage.REGISTRY.resolve(path)
         with open(local, "r", encoding="utf-8", newline="") as handle:
             header_line = handle.readline()

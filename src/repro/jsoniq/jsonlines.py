@@ -83,11 +83,7 @@ class LazyObjectItem(ObjectItem):
     materializes the full mapping once and caches it.
     """
 
-    #: ``pushdown_verified`` is set (to True) by the pushed scan only on
-    #: records every pushed predicate proved definitively true, letting
-    #: the retained where clause skip re-evaluation; it stays *unset*
-    #: otherwise, so readers must use ``getattr(..., False)``.
-    __slots__ = ("_raw", "pushdown_verified")
+    __slots__ = ("_raw",)
     #: The parent's slot descriptor, kept reachable after the property
     #: below shadows its name.
     _pairs_slot = ObjectItem.pairs
@@ -128,16 +124,7 @@ class LazyObjectItem(ObjectItem):
         # the raw dict instead (the wrapped values re-derive lazily).
         # Needed by the memory manager's disk tier, which round-trips
         # spilled partitions through pickle.
-        verified = getattr(self, "pushdown_verified", ABSENT)
-        if verified is ABSENT:
-            return (LazyObjectItem, (self._raw,))
-        return (_restore_lazy_object, (self._raw, verified))
-
-
-def _restore_lazy_object(raw, verified) -> "LazyObjectItem":
-    item = LazyObjectItem(raw)
-    item.pushdown_verified = verified
-    return item
+        return (LazyObjectItem, (self._raw,))
 
 
 def _wrap_fast(value) -> Item:
@@ -257,17 +244,21 @@ def iter_json_lines_pushed(
     corrupt_field: str = CORRUPT_RECORD_FIELD,
     on_malformed=None,
     on_pruned=None,
+    recheck=None,
 ) -> Iterator[Item]:
     """Decode JSON lines with scan-level predicate pushdown applied.
 
     ``predicates`` are three-valued callables over the *decoded* dict
-    (see :mod:`repro.jsoniq.runtime.flwor.pushdown`): a definite
-    ``False`` prunes the record before any item is built; ``True`` and
-    ``None`` (unknown) keep it for the retained where clause.  Pruning
-    only ever *skips work* the reference path proves redundant —
-    outcomes are identical with it off.  (Key projection needs no scan
-    support: :class:`LazyObjectItem` already defers value wrapping to
-    the keys a query actually touches.)
+    (see :mod:`repro.jsoniq.runtime.flwor.pushdown`), in clause order;
+    a record's first verdict that is not a definite ``True`` decides
+    it.  ``False`` prunes the record before any item is built; ``None``
+    (unknown) boxes it and keeps it only if ``recheck(item)`` — the
+    where conditions themselves, errors included — says so (with no
+    ``recheck``, unconditionally).  Pruning only ever *skips work* the
+    reference path proves redundant — outcomes are identical with it
+    off.  (Key projection needs no scan support:
+    :class:`LazyObjectItem` already defers value wrapping to the keys a
+    query actually touches.)
 
     Non-object records have no top-level keys and a permissive corrupt
     record has only the corrupt field, so any pushed predicate rejects
@@ -278,39 +269,29 @@ def iter_json_lines_pushed(
     predicates = tuple(predicates)
     for record in _decode_lines(lines, mode, on_malformed):
         if type(record) is dict:
-            if predicates:
-                keep = True
-                verified = True
-                for predicate in predicates:
-                    verdict = predicate(record)
-                    if verdict is False:
-                        keep = False
-                        break
-                    if verdict is not True:
-                        verified = False
-                if not keep:
-                    if on_pruned is not None:
-                        on_pruned()
-                    continue
-                item = LazyObjectItem(record)
-                if verified:
-                    # Every pushed predicate returned a definite True:
-                    # the retained where clauses they came from cannot
-                    # reject (or error on) this record, so they may
-                    # skip re-evaluating it.
-                    item.pushdown_verified = True
-                yield item
+            verdict = True
+            for predicate in predicates:
+                verdict = predicate(record)
+                if verdict is not True:
+                    break
+            if verdict is False:
+                if on_pruned is not None:
+                    on_pruned()
                 continue
+            item = LazyObjectItem(record)
+            # All definite True: the where clauses the predicates came
+            # from cannot reject (or error on) this record.
+            if verdict is True or recheck is None or recheck(item):
+                yield item
         elif predicates:
             # Every pushed predicate reads a missing key: the where
             # clause is guaranteed to reject this record.
             if on_pruned is not None:
                 on_pruned()
-            continue
         elif type(record) is _CorruptLine:
             yield ObjectItem({corrupt_field: StringItem(record.line)})
-            continue
-        yield _wrap_fast(record)
+        else:
+            yield _wrap_fast(record)
 
 
 def shred_json_lines(

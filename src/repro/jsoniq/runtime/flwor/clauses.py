@@ -581,9 +581,9 @@ class WhereClauseIterator(ClauseIterator):
     """``where expr`` — Section 4.6: a selection."""
 
     #: Attached by :mod:`repro.jsoniq.runtime.flwor.pushdown` when this
-    #: clause's condition was compiled into a pushed scan predicate:
-    #: rows the scan marked ``pushdown_verified`` (every pushed
-    #: predicate returned a definite True) skip re-evaluation.
+    #: clause is in the chain's covered where prefix: under an active
+    #: plan the scan yields only rows that already passed the condition
+    #: (``PushdownPlan.items``), so the DataFrame form is a pass-through.
     pushdown_plan = None
 
     def __init__(self, input_clause: ClauseIterator,
@@ -600,22 +600,9 @@ class WhereClauseIterator(ClauseIterator):
 
     def get_dataframe(self, context: DynamicContext) -> DataFrame:
         frame = self.input_clause.get_dataframe(context)
+        if self.pushdown_plan is not None and context.runtime.flags.pushdown:
+            return frame
         predicate = _make_fast_predicate(self.condition, context)
-        plan = self.pushdown_plan
-        if plan is not None and context.runtime.flags.pushdown:
-            variable = plan.variable
-            checked = predicate
-
-            def predicate(row: Dict[str, object]) -> bool:
-                items = row.get(variable)
-                if (
-                    items is not None
-                    and len(items) == 1
-                    and getattr(items[0], "pushdown_verified", False)
-                ):
-                    return True
-                return checked(row)
-
         obs = _obs_of(context)
         if obs is not None:
             inner_predicate = predicate

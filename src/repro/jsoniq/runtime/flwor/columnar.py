@@ -7,7 +7,7 @@ shape admits; ``plan.batches`` decides at run time whether the flags
 allow it):
 
 * **count kernel** — ``count(for $v in json-file(...) where ... return
-  $v)`` sums per-batch verdict counts without boxing a single verified
+  $v)`` counts each batch's survivors without boxing a single decided
   row (:func:`rdd_count`, from ``ReturnClauseIterator.rdd_count``);
 * **group-by count kernel** — a group-by on ``$v.key`` keys whose
   non-grouping variable is only counted pre-aggregates each batch into
@@ -17,17 +17,17 @@ allow it):
   ``GroupByClauseIterator.get_dataframe``).
 
 (The default sink — boxing surviving rows for the clause iterators — is
-``PushdownPlan.items``; the generated loop is jsoniq/codegen/.)  Rows a
-mask could not decide (``RETAINED``) and escaped rows are boxed and
-re-checked through the *original* where conditions, so semantics —
-errors included — match the reference row path exactly.
+``PushdownPlan.items``; the generated loop is jsoniq/codegen/.)  Every
+sink takes its rows from ``MaskedBatch.survivors(plan.recheck(...))``:
+a row the masks could not decide is boxed and re-checked through the
+*original* where conditions there, so semantics — errors included —
+match the reference row path exactly and no sink sees a verdict.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.items.columnar import PRUNED, VERIFIED
 from repro.items.compare import (
     ABSENT,
     CODE_FALSE,
@@ -68,18 +68,21 @@ class GroupByCountKernel:
             USAGE_COUNT_ONLY,
             USAGE_MATERIALIZE,
             USAGE_UNUSED,
+            _constant_lookup,
         )
-        from repro.jsoniq.runtime.flwor.pushdown import _iterator_operand
 
         keys = []
         for name, expression in groupby.keys:
-            spec = (
-                _iterator_operand(expression, plan.variable)
+            lookup = (
+                _constant_lookup(expression)
                 if expression is not None else None
             )
-            if spec is None or spec[0] != "key" or name == plan.variable:
+            if (
+                lookup is None or lookup[0] != plan.variable
+                or name == plan.variable
+            ):
                 return None
-            keys.append((name, spec[1]))
+            keys.append((name, lookup[1]))
         usage = groupby.variable_usage.get(plan.variable, USAGE_MATERIALIZE)
         if usage not in (USAGE_COUNT_ONLY, USAGE_UNUSED):
             return None
@@ -99,7 +102,7 @@ class GroupByCountKernel:
         rdd = plan.batches(context, SINK_GROUP)
         if rdd is None:
             return None
-        recheck = _build_recheck(plan.wheres, context)
+        recheck = plan.recheck(context)
         variable = plan.variable
         count_only = self.usage == USAGE_COUNT_ONLY
         key_specs = tuple(self.keys)
@@ -118,13 +121,7 @@ class GroupByCountKernel:
                 readers = [
                     (name, key, columns.get(key)) for name, key in key_specs
                 ]
-                for row, status in enumerate(masked.statuses):
-                    if status == PRUNED:
-                        continue
-                    if status != VERIFIED and recheck is not None:
-                        item = batch.unshred_row(row)
-                        if not recheck({variable: [item]}):
-                            continue
+                for row in masked.survivors(recheck):
                     native = []
                     raw_values = []
                     record = escaped.get(row, ABSENT)
@@ -188,35 +185,14 @@ def _raw_grouping_key(name: str, value):
     return (EMPTY_LEAST if family == "absent" else CODE_NULL, "", 0.0)
 
 
-def _build_recheck(wheres, context):
-    """One row-predicate re-running the covered where conditions in
-    clause order over ``{variable: [item]}`` rows — the reference
-    semantics (errors included) for rows the masks could not decide.
-    Returns None when there is nothing to re-check."""
-    from repro.jsoniq.runtime.flwor.clauses import _make_fast_predicate
-
-    if not wheres:
-        return None
-    checks = [
-        _make_fast_predicate(clause.condition, context) for clause in wheres
-    ]
-
-    def recheck(row) -> bool:
-        for check in checks:
-            if not check(row):
-                return False
-        return True
-
-    return recheck
-
-
 def rdd_count(plan, context) -> Optional[int]:
     """The count kernel: sum per-batch surviving-row counts.
 
-    Verified rows are counted without boxing; retained rows box and
-    re-check the covered wheres.  Returns None when the runtime's flags
-    resolve ``plan`` to another sink — the caller (``CountIterator``)
-    falls back to the reference ``get_rdd().count()``.
+    Rows the masks decided are counted without boxing; undecided rows
+    box and re-check the covered wheres.  Returns None when the
+    runtime's flags resolve ``plan`` to another sink — the caller
+    (``CountIterator``) falls back to the reference
+    ``get_rdd().count()``.
     """
     from repro.jsoniq.runtime.base import _obs_of
     from repro.jsoniq.runtime.flwor.pushdown import SINK_COUNT
@@ -224,8 +200,7 @@ def rdd_count(plan, context) -> Optional[int]:
     rdd = plan.batches(context, SINK_COUNT)
     if rdd is None:
         return None
-    recheck = _build_recheck(plan.wheres, context)
-    variable = plan.variable
+    recheck = plan.recheck(context)
     obs = _obs_of(context)
     if obs is not None:
         obs.metrics.counter("rumble.columnar.count_kernel").inc()
@@ -233,19 +208,10 @@ def rdd_count(plan, context) -> Optional[int]:
     def count_partition(batches):
         total = 0
         for masked in batches:
-            batch = masked.batch
             if recheck is None:
                 total += masked.selected_count()
-                continue
-            for row, status in enumerate(masked.statuses):
-                if status == PRUNED:
-                    continue
-                if status == VERIFIED:
-                    total += 1
-                    continue
-                item = batch.unshred_row(row)
-                if recheck({variable: [item]}):
-                    total += 1
+            else:
+                total += sum(1 for _ in masked.survivors(recheck))
         yield total
 
     return sum(rdd.map_partitions(count_partition).collect())

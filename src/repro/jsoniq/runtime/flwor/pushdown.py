@@ -10,13 +10,17 @@ that file is scanned and what consumes the scan:
   never escapes, the scan wraps only those keys into items and skips the
   rest of each decoded record (*Scalable Querying of Nested Data*'s
   motivation: push projection into the nested-JSON scan);
-* **predicate pushdown** — leading ``where`` conditions of the shape
-  ``$v.key <cmp> ($v.key | literal)`` become three-valued *raw*
+* **predicate pushdown** — the leading run of ``where`` conditions of
+  the shape ``$v.key <cmp> ($v.key | literal)`` (the *covered prefix*:
+  it ends at the first where of any other shape, which may raise on a
+  row a later predicate would prune) becomes three-valued *raw*
   predicates evaluated on the decoded dict before any item is built (or
   as per-column masks over a shredded batch).  Only a definite **False**
-  prunes a record; Unknown (nulls, mixed types, non-scalars) keeps the
-  record so the retained ``where`` clause reproduces the exact reference
-  semantics, type errors included;
+  prunes a record; an Unknown one (nulls, mixed types, non-scalars) is
+  re-checked at the scan boundary through the where conditions
+  themselves (:meth:`PushdownPlan.recheck`), reproducing the exact
+  reference semantics, type errors included — so every row the scan
+  yields has passed the covered wheres;
 * **the sink** — what the scanned batches feed: boxed item rows, the
   count kernel, the group-by count kernel (flwor/columnar.py) or the
   generated whole-stage loop (jsoniq/codegen/);
@@ -68,9 +72,7 @@ class PushedPredicate:
         self.keys = keys
         self.raw = raw
         self.description = description
-        #: (left-operand, right-operand, value-op) — used at compile
-        #: time to re-identify the where clause this predicate covers,
-        #: and by the column masks.
+        #: (left-operand, right-operand, value-op), for the column masks.
         self.spec = spec
 
 
@@ -102,9 +104,9 @@ class PushdownPlan:
         #: The leading for-clause iterator and the file it scans.
         self.head = None
         self.source = None
-        #: The covered where-clause prefix, forward order: every one was
-        #: compiled into a pushed predicate, so they are exactly the
-        #: conditions a ``RETAINED`` row must be re-checked against.
+        #: The covered where-clause prefix, forward order: ``wheres[i]``
+        #: is the clause ``predicates[i]`` was compiled from, so they are
+        #: exactly the conditions an undecided row is re-checked against.
         self.wheres: List[object] = []
         #: The clauses between that prefix and the return clause.
         self.rest: List[object] = []
@@ -165,15 +167,42 @@ class PushdownPlan:
             return self.source.scan(context, self)
 
         # Predicates run as per-column masks over shredded batches; only
-        # surviving rows box here (verified ones pre-proved, exactly
-        # like the pushed row scan's pushdown_verified marks).
+        # surviving rows box here.
+        recheck = self.recheck(context)
+
         def unbox(masked_batches):
             for masked in masked_batches:
-                yield from masked.iter_boxed()
+                yield from masked.iter_boxed(recheck)
 
         return self.source.scan(
             context, self, batches=True
         ).map_partitions(unbox)
+
+    def recheck(self, context):
+        """``item -> bool``: the covered where conditions re-run in
+        clause order on one scanned item — the reference semantics
+        (errors included) for a row the pushed predicates could not
+        decide.  None when there is nothing to re-check.  Every scan
+        form resolves its undecided rows through this, so nothing
+        downstream of the scan evaluates a covered where again."""
+        from repro.jsoniq.runtime.flwor.clauses import _make_fast_predicate
+
+        if not self.wheres:
+            return None
+        checks = [
+            _make_fast_predicate(clause.condition, context)
+            for clause in self.wheres
+        ]
+        variable = self.variable
+
+        def recheck(item) -> bool:
+            row = {variable: [item]}
+            for check in checks:
+                if not check(row):
+                    return False
+            return True
+
+        return recheck
 
     # -- explain() ---------------------------------------------------------------
     def describe(self, flags) -> List[str]:
@@ -353,6 +382,11 @@ def analyse(flwor: ast.FlworExpression) -> Optional[PushdownPlan]:
                 predicate = _compile_predicate(clause.condition, variable)
                 if predicate is not None:
                     plan.predicates.append(predicate)
+                else:
+                    # A where the scan cannot evaluate ends the covered
+                    # prefix: it may raise on a row a later predicate
+                    # would prune.
+                    in_where_prefix = False
             scan(clause.condition)
             continue
         in_where_prefix = False
@@ -444,85 +478,17 @@ def annotate(flwor: ast.FlworExpression, return_iterator) -> None:
     _rewrite_topk(flwor, return_iterator)
 
 
-def _iterator_operand(node, variable: str):
-    """Classify a compiled comparison operand the same way
-    :func:`_operand` classifies its AST counterpart."""
-    from repro.jsoniq.runtime.flwor.clauses import _constant_lookup
-    from repro.jsoniq.runtime.primary import LiteralIterator
-
-    lookup = _constant_lookup(node)
-    if lookup is not None and lookup[0] == variable:
-        return ("key", lookup[1])
-    if isinstance(node, LiteralIterator):
-        value = getattr(node.item, "value", None)
-        if _pushable(value):
-            return ("lit", value)
-    return None
-
-
-def _operands_match(found, spec) -> bool:
-    if found is None or found != spec:
-        return False
-    # `True == 1` would let a boolean literal match an integer spec.
-    if found[0] == "lit" and isinstance(found[1], bool) != isinstance(
-        spec[1], bool
-    ):
-        return False
-    return True
-
-
-def _spec_matches(found, spec) -> bool:
-    """Whether a compiled comparison's (left, right, value-op) is the
-    one a pushed predicate's ``spec`` was built from."""
-    return (
-        bool(spec)
-        and found[2] == spec[2]
-        and _operands_match(found[0], spec[0])
-        and _operands_match(found[1], spec[1])
-    )
-
-
 def _cover_wheres(plan: PushdownPlan, chain: List[object]) -> None:
     """Split ``chain`` (the clauses after the head, forward order) into
-    the covered where prefix and the rest, tagging every where clause
-    whose condition was compiled into a pushed predicate.  A tagged
-    clause may pass rows the scan already proved definitely-true
-    (``item.pushdown_verified``) without re-evaluating its condition —
-    the scan's three-valued verdict is True only when the condition is
-    guaranteed truthy and error-free.
-    """
-    from repro.jsoniq.runtime.comparison import ComparisonIterator
-    from repro.jsoniq.runtime.flwor.clauses import WhereClauseIterator
-
-    remaining = list(plan.predicates)
-    wheres = []
-    in_prefix = True
-    for clause in chain:
-        if not isinstance(clause, WhereClauseIterator) or not remaining:
-            break
-        covering = None
-        condition = clause.condition
-        if isinstance(condition, ComparisonIterator):
-            op = condition.op
-            found = (
-                _iterator_operand(condition.left, plan.variable),
-                _iterator_operand(condition.right, plan.variable),
-                op if op in VALUE_OPS else GENERAL_TO_VALUE.get(op),
-            )
-            covering = next(
-                (p for p in remaining if _spec_matches(found, p.spec)), None
-            )
-        if covering is None:
-            # An uncovered where ends the prefix the masks fully account
-            # for; wheres after it can still be tagged.
-            in_prefix = False
-            continue
+    the covered where prefix and the rest.  ``plan.predicates[i]`` was
+    compiled from the i-th clause after the head and the compiler lowers
+    clauses 1:1, so the pairing is positional.  A covered clause is
+    tagged with the plan: under an active plan the scan has already
+    proved every row it yields against the clause's condition."""
+    covered = len(plan.predicates)
+    plan.wheres, plan.rest = chain[:covered], chain[covered:]
+    for clause in plan.wheres:
         clause.pushdown_plan = plan
-        remaining.remove(covering)
-        if in_prefix:
-            wheres.append(clause)
-    plan.wheres = wheres
-    plan.rest = chain[len(wheres):]
 
 
 def _plan_sinks(plan: PushdownPlan, return_iterator) -> None:
@@ -552,7 +518,7 @@ def _plan_sinks(plan: PushdownPlan, return_iterator) -> None:
     else:
         try:
             plan.stage = emit_source(
-                plan.variable, plan.wheres, return_iterator.expression
+                plan.variable, return_iterator.expression
             )
         except Unsupported as unsupported:
             plan.declined = str(unsupported)

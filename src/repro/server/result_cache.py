@@ -99,10 +99,10 @@ def analyze_sources(iterator: RuntimeIterator, context) -> List[Tuple]:
             JsonFileIterator, StructuredJsonFileIterator,
             TextFileIterator, CsvFileIterator,
         )):
-            sources.append(("uri", _constant_string(node.path, context)))
+            sources.append(("uri", _constant_string(node.argument, context)))
         elif isinstance(node, CollectionIterator):
             sources.append(
-                ("collection", _constant_string(node.name, context))
+                ("collection", _constant_string(node.argument, context))
             )
         elif isinstance(node, SimpleFunctionIterator):
             if node.name in NONDETERMINISTIC_BUILTINS:

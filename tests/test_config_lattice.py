@@ -106,14 +106,6 @@ SINKS = {
         'return {{ "a": $o.a, "b": $o.b, "m": $o.m }}',
 }
 
-#: Corpus cases the parent commit gets wrong wherever pushdown is on: a
-#: pushed predicate prunes a row an *earlier* where raises on.
-KNOWN_DIVERGENT = (
-    "uncovered_raising_where_first",
-    "covered_first_raises_second_prunes",
-)
-
-
 def _engine(fusion, adaptive, level, block_size, parse_mode):
     pushdown, columnar, codegen = SCAN_LEVELS[level]
     engine = make_engine(
@@ -428,34 +420,9 @@ def test_point_agrees_with_reference(
         for mode in PARSE_MODES
     }
     for name, mode, query in corpus:
-        if name.startswith(KNOWN_DIVERGENT):
-            continue
         assert _outcome(engines[mode], query) == reference[name], (
             "{} diverged from the all-off reference".format(name)
         )
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="a pushed predicate prunes the row an earlier where raises on",
-)
-@pytest.mark.parametrize(
-    "fusion,adaptive,level",
-    [
-        (fusion, adaptive, level)
-        for fusion, adaptive, level in itertools.product(
-            (False, True), (False, True), SCAN_LEVELS
-        )
-        if level != "rowscan"
-    ],
-)
-def test_known_where_order_divergences(
-    fusion, adaptive, level, corpus, reference
-):
-    engine = _engine(fusion, adaptive, level, None, "failfast")
-    for name, mode, query in corpus:
-        if name.startswith(KNOWN_DIVERGENT):
-            assert _outcome(engine, query) == reference[name], name
 
 
 def test_reference_is_not_vacuous(reference):
@@ -529,7 +496,7 @@ CONSUMERS = {
 }
 
 MatrixCase = collections.namedtuple(
-    "MatrixCase", "name local distributed one_block known_divergent"
+    "MatrixCase", "name local distributed one_block"
 )
 
 #: query text -> CompiledQuery.  The compiled tree is engine-independent
@@ -582,7 +549,7 @@ def matrix(tmp_path_factory):
         )
 
     def add(name, path, condition, one_block, let="",
-            consumers=tuple(CONSUMERS), known_divergent=False):
+            consumers=tuple(CONSUMERS)):
         for consumer in consumers:
             local_text, distributed = (
                 CONSUMERS[consumer].format(
@@ -592,7 +559,7 @@ def matrix(tmp_path_factory):
             )
             cases.append(MatrixCase(
                 "{} / {}".format(name, consumer), local_text, distributed,
-                one_block, known_divergent,
+                one_block,
             ))
 
     def raises(path, condition):
@@ -638,16 +605,14 @@ def matrix(tmp_path_factory):
                 condition, one_block=not key_vs_key)
 
     # The generated loop's arithmetic: a non-atomic operand raises, even
-    # against an empty one.  (Known divergence: the emitter guards
-    # arrays only, so object + absent answers the empty sequence.)
+    # against an empty one.
     for op, left, right in itertools.product(
         "+-*", ("[1]", '{"a":1}'), ("absent", "1")
     ):
         record, path = rows[left, right]
         condition = "$o.l {} $o.r".format(op)
         add("{} over {}".format(condition, json.dumps(record)), path,
-            condition, one_block=True, consumers=("return",),
-            known_divergent=(left, right) == ('{"a":1}', "absent"))
+            condition, one_block=True, consumers=("return",))
 
     # Bindings that are not one scanned object: a fast form must hand
     # them to the reference evaluator, whose wording they then share.
@@ -674,8 +639,6 @@ def test_comparison_matrix_agrees_with_local_iterators(
     engine = _engine(fusion, adaptive, level, block_size, "failfast")
     disagreements = []
     for case in cases:
-        if case.known_divergent:
-            continue
         if case.one_block and block_size is not None:
             continue  # the same single partition at either size
         outcome = _matrix_outcome(engine, case.distributed)
@@ -686,23 +649,6 @@ def test_comparison_matrix_agrees_with_local_iterators(
     assert not disagreements, "{} of the matrix diverged, e.g. {}".format(
         len(disagreements), disagreements[:3]
     )
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="the emitter's arithmetic guard tests list only: object + "
-           "absent answers () in the generated loop",
-)
-@pytest.mark.parametrize(
-    "fusion,adaptive", list(itertools.product((False, True), repeat=2))
-)
-def test_matrix_known_arithmetic_divergences(fusion, adaptive, matrix):
-    cases, reference = matrix
-    engine = _engine(fusion, adaptive, "codegen", None, "failfast")
-    for case in cases:
-        if case.known_divergent:
-            assert _matrix_outcome(engine, case.distributed) \
-                == reference[case.name], case.name
 
 
 def test_comparison_matrix_is_not_vacuous(matrix):
