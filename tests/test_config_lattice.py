@@ -673,3 +673,304 @@ def test_comparison_matrix_is_not_vacuous(matrix):
     assert "[XPTY0004] operand of + must be atomic, got object" in messages
     assert "[XPTY0004] operand of * must be atomic, got array" in messages
     assert any("single item" in message for message in messages)
+
+
+# ---------------------------------------------------------------------------
+# The key matrix: ordering and grouping keys, against the local iterators
+# ---------------------------------------------------------------------------
+
+#: Four padded records fill one 4096-byte block: consecutive runs of
+#: four key values land in consecutive partitions at the small block
+#: size, and the default size cuts the file into ``parallelism`` pieces
+#: — so the lattice's block-size axis is this matrix's layout axis.  The
+#: third layout, one block, is ``json-file(path, 1)`` at the default size
+#: (under the first and the last modifier only, for tier-1's budget).
+RUN = 4
+_PAD = "x" * 1100
+
+#: Ordering-key populations: name -> (key expression, runs of key values).
+#: A raising one holds exactly one offending row — an error aborts the
+#: query — placed after its block's first row, as the first row of a
+#: later block, or (for a family conflict) as a whole earlier block.
+ORDER_POPULATIONS = {
+    "number": ("$o.a", [[3, 1, 2.5, -1], [2, 10, 0, 1.5]]),
+    "string": ("$o.a", [["b", "a", "d", "c"], ["ab", "", "z", "B"]]),
+    "boolean": ("$o.a", [[True, False, True, False],
+                         [False, True, True, False]]),
+    "null only": ("$o.a", [[None] * RUN] * 2),
+    "absent only": ("$o.a", [[_NO_KEY] * RUN] * 2),
+    "null + number": ("$o.a", [[None] * RUN, [3, 1, 2, 0]]),
+    "number + null": ("$o.a", [[3, 1, 2, 0], [None] * RUN]),
+    "null + string": ("$o.a", [[None] * RUN, ["b", "a", "d", "c"]]),
+    "null + boolean": ("$o.a", [[None] * RUN, [True, False, True, False]]),
+    "absent + null + number": (
+        "$o.a", [[_NO_KEY] * RUN, [None] * RUN, [3, 1, 2, 0]]),
+    "null among numbers": (
+        "$o.a", [[None, 3, None, 1], [2, _NO_KEY, None, 0]]),
+    "number via $o.a[]": (
+        "$o.a[]", [[[3], [1], [2], [0]], [[5], [], [7], [6]]]),
+    "number + string, string opens a later block": (
+        "$o.a", [[1, 2, 3, 4], ["s", 5, 6, 7]]),
+    "number + string, string inside the first block": (
+        "$o.a", [[1, "s", 3, 4], [5, 6, 7, 8]]),
+    "number + string, strings fill an earlier block": (
+        "$o.a", [["s", "t", "u", "v"], [1, 2, 3, 4]]),
+    "array among numbers, in a later block": (
+        "$o.a", [[1, 2, 3, 4], [5, [6], 7, 8]]),
+    "array among numbers, in the first block": (
+        "$o.a", [[1, [2], 3, 4], [5, 6, 7, 8]]),
+    "two-item key, in a later block": (
+        "$o.a[]", [[[1], [2], [3], [4]], [[5], [6, 7], [8], [9]]]),
+    "two-item key, in the first block": (
+        "$o.a[]", [[[1], [2, 3], [4], [5]], [[6], [7], [8], [9]]]),
+}
+ORDER_MODIFIERS = (
+    "ascending", "descending", "empty greatest",
+    "descending empty greatest",
+)
+#: Every key list ends in the unique ``$o.i``, so results are totally
+#: ordered — except under ``stable``, where ties keep the input order.
+ORDER_CONSUMERS = {
+    "sort":
+        'for $o{at} in json-file("{path}"{blocks})\n'
+        'order by {key} {modifier}, $o.i\nreturn $o.i',
+    "sort on the second key":
+        'for $o{at} in json-file("{path}"{blocks})\n'
+        'order by $o.t, {key} {modifier}, $o.i\nreturn $o.i',
+    "top-k":
+        'for $o{at} in json-file("{path}"{blocks})\n'
+        'order by {key} {modifier}, $o.i\n'
+        'count $c\nwhere $c le 3\nreturn $o.i',
+    "top-0":
+        'for $o{at} in json-file("{path}"{blocks})\n'
+        'order by {key} {modifier}, $o.i\n'
+        'count $c\nwhere $c lt 1\nreturn $o.i',
+    "count":
+        'count(for $o{at} in json-file("{path}"{blocks})\n'
+        'order by {key} {modifier}, $o.i\nreturn $o.i)',
+    "stable sort":
+        'for $o{at} in json-file("{path}"{blocks})\n'
+        'stable order by {key} {modifier}\nreturn $o.i',
+    "stable top-k":
+        'for $o{at} in json-file("{path}"{blocks})\n'
+        'stable order by {key} {modifier}\n'
+        'count $c\nwhere $c le 5\nreturn $o.i',
+}
+
+#: Grouping-key values that group (``1`` and ``1.0`` into one group) and
+#: the ones that raise, each among string keys in a later block.
+GROUP_VALUES = ("s", 1, 1.0, True, False, None, _NO_KEY)
+GROUP_RAISING = {"array": ["a", "b"], "object": {"n": 1}}
+#: The kernel (``count($o)`` on a direct key) and the ``encode``
+#: projection's three key forms: the scan variable materialised on a
+#: direct key, a let-bound key, an expression key.
+GROUP_CONSUMERS = {
+    "kernel":
+        'for $o{at} in json-file("{path}"{blocks})\ngroup by $k := $o.k\n'
+        'return {{ "k": $k, "n": count($o) }}',
+    "materialised":
+        'for $o{at} in json-file("{path}"{blocks})\ngroup by $k := $o.k\n'
+        'return {{ "k": $k, "b": $o[1].i }}',
+    "let-bound":
+        'for $o{at} in json-file("{path}"{blocks})\n'
+        'let $k := $o.k\ngroup by $k\n'
+        'return {{ "k": $k, "n": count($o) }}',
+    "expression":
+        'for $o{at} in json-file("{path}"{blocks})\n'
+        'group by $k := ($o.k[], $o.k, "x")[1]\n'
+        'return {{ "k": $k, "n": count($o) }}',
+    "unboxed":
+        'for $o{at} in json-file("{path}"{blocks})\ngroup by $k := $o.k[]\n'
+        'return {{ "k": $k, "n": count($o) }}',
+}
+
+
+def _key_outcome(engine, text):
+    """Type-strict: ``1`` and ``1.0`` are equal to Python, not to a
+    group's representative key."""
+    outcome = _matrix_outcome(engine, text)
+    return ("items", repr(outcome[1])) if outcome[0] == "items" else outcome
+
+
+@pytest.fixture(scope="module")
+def key_matrix(tmp_path_factory):
+    """([MatrixCase], {case name: outcome on the local iterators})."""
+    root = str(tmp_path_factory.mktemp("keys"))
+    local = _engine(False, False, "rowscan", None, "failfast")
+    cases = []
+
+    def write(name, key, values):
+        records = []
+        for index, value in enumerate(values):
+            record = {"i": index, "t": index % 2, "pad": _PAD}
+            if value is not _NO_KEY:
+                record[key] = value
+            records.append(record)
+        return _write_records(os.path.join(root, name), records)
+
+    def add(name, template, modifier="ascending", **parts):
+        layouts = [("", "")]
+        if modifier in ("ascending", "descending empty greatest"):
+            layouts.append((", one block", ", 1"))
+        for layout, blocks in layouts:
+            local_text, distributed = (
+                template.format(
+                    at=at, blocks=blocks, modifier=modifier, **parts
+                )
+                for at in (" at $p", "")
+            )
+            cases.append(MatrixCase(
+                name + layout, local_text, distributed, bool(blocks)
+            ))
+
+    for number, (population, (key, runs)) in enumerate(
+        ORDER_POPULATIONS.items()
+    ):
+        path = write("order{}.json".format(number), "a",
+                     [value for run in runs for value in run])
+        for modifier, consumer in itertools.product(
+            ORDER_MODIFIERS,
+            ("sort", "sort on the second key", "top-k", "top-0", "count"),
+        ):
+            if consumer == "top-0" and modifier != "ascending":
+                continue  # nothing is kept: only the discovery matters
+            add("order by {} {} over {} / {}".format(
+                    key, modifier, population, consumer),
+                ORDER_CONSUMERS[consumer],
+                path=path, key=key, modifier=modifier)
+    # Ties and no tiebreaker: ``$o.t`` alternates, across two blocks.
+    ties = write("ties.json", "a", [0] * (2 * RUN))
+    for modifier, consumer in itertools.product(
+        ORDER_MODIFIERS, ("stable sort", "stable top-k")
+    ):
+        add("order by $o.t {} over ties / {}".format(modifier, consumer),
+            ORDER_CONSUMERS[consumer],
+            path=ties, key="$o.t", modifier=modifier)
+
+    groups = {"values": write("group.json", "k", GROUP_VALUES * 3)}
+    for shape, value in GROUP_RAISING.items():
+        groups[shape] = write(
+            "group_{}.json".format(shape), "k",
+            ["s", "t", "s", "t", "s", value, "t", "s"],
+        )
+    for (shape, path), consumer in itertools.product(
+        groups.items(), ("kernel", "materialised", "let-bound", "expression")
+    ):
+        add("group by over {} / {}".format(shape, consumer),
+            GROUP_CONSUMERS[consumer], path=path)
+    add("group by over a two-item key / unboxed", GROUP_CONSUMERS["unboxed"],
+        path=write("group_two.json", "k",
+                   [[1], [2], [1], [2], [1], [1, 2], [2], [1]]))
+
+    reference = {
+        case.name: _key_outcome(local, case.local) for case in cases
+    }
+    return cases, reference
+
+
+#: On the parent commit the two hand-written family merges treat a null
+#: run as a family of its own, a partition folds its own rows into an
+#: error before the driver has seen the earlier partitions', and the
+#: rewritten top-k clause's local form reads no row when it keeps none.
+KNOWN_DIVERGENT = (
+    "null + number", "number + null", "null + string", "null + boolean",
+    "absent + null + number", "null among numbers",
+    "number + string, string opens a later block",
+)
+
+
+def _known_divergent(case, reference):
+    population = case.name.partition(" over ")[2].partition(" / ")[0]
+    return population in KNOWN_DIVERGENT or (
+        "top-0" in case.name and reference[case.name][0] == "error"
+    )
+
+
+def _key_disagreements(engine, block_size, key_matrix, known_divergent):
+    cases, reference = key_matrix
+    disagreements = []
+    for case in cases:
+        if _known_divergent(case, reference) != known_divergent:
+            continue
+        if case.one_block and block_size is not None:
+            continue  # the small block size splits the file regardless
+        texts = [case.distributed]
+        if "top-" in case.name:
+            # Under a pushdown level the local text's top-k tail is the
+            # rewritten clause's tuple stream, not the reference's.
+            texts.append(case.local)
+        for text in texts:
+            outcome = _key_outcome(engine, text)
+            if outcome != reference[case.name]:
+                disagreements.append(
+                    (case.name, reference[case.name], outcome)
+                )
+    return disagreements
+
+
+@pytest.mark.parametrize("fusion,adaptive,level,block_size", POINTS)
+def test_key_matrix_agrees_with_local_iterators(
+    fusion, adaptive, level, block_size, key_matrix
+):
+    engine = _engine(fusion, adaptive, level, block_size, "failfast")
+    disagreements = _key_disagreements(
+        engine, block_size, key_matrix, False
+    )
+    assert not disagreements, "{} of the key matrix diverged, e.g. {}".format(
+        len(disagreements), disagreements[:3]
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a null run and a value run in different partitions raise "
+           "'incompatible order-by key types: null and ...'; a family "
+           "conflict is worded by the partition that folds it; the local "
+           "top-k form skips type discovery when it keeps no row",
+)
+@pytest.mark.parametrize("fusion,adaptive,level,block_size", POINTS)
+def test_key_matrix_known_divergences(
+    fusion, adaptive, level, block_size, key_matrix
+):
+    engine = _engine(fusion, adaptive, level, block_size, "failfast")
+    assert not _key_disagreements(engine, block_size, key_matrix, True)
+
+
+def test_key_matrix_is_not_vacuous(key_matrix):
+    cases, outcomes = key_matrix
+    messages = collections.Counter(
+        outcome[2] for outcome in outcomes.values() if outcome[0] == "error"
+    )
+    # Per population: four consumers under four modifiers, two of them
+    # in the one-block layout as well, and ``top-0`` under one, in both
+    # layouts; per grouping consumer, both layouts.
+    cells = 4 * (len(ORDER_MODIFIERS) + 2) + 2
+    assert messages == {
+        "[XPTY0004] incompatible order-by key types: number and string":
+            2 * cells,
+        "[XPTY0004] incompatible order-by key types: string and number":
+            cells,
+        "[XPTY0004] order-by key is not atomic (array)": 2 * cells,
+        "[XPTY0004] order-by key evaluated to more than one item": 2 * cells,
+        "[XPTY0004] grouping variable $k is not atomic (array)": 3 * 2,
+        "[XPTY0004] grouping variable $k is not atomic (object)": 4 * 2,
+        "[XPTY0004] grouping variable $k has more than one item": 2,
+    }
+    # A null run sorts, in either direction and wherever the empty
+    # sequence goes; ties keep the input order under ``stable``.
+    assert outcomes["order by $o.a descending over null + number / sort"] \
+        == ("items", "[4, 6, 5, 7, 0, 1, 2, 3]")
+    assert outcomes[
+        "order by $o.a empty greatest over absent + null + number / top-k"
+    ] == ("items", "[4, 5, 6]")
+    assert outcomes["order by $o.t descending over ties / stable sort"] \
+        == ("items", "[1, 3, 5, 7, 0, 2, 4, 6]")
+    # ``1`` and ``1.0`` share a group, whose key is its first member's.
+    grouped = outcomes["group by over values / kernel"][1]
+    assert grouped.count("'n': 3") == 5 and "{'k': 1, 'n': 6}" in grouped
+    # The layouts are what the populations' names say they are.
+    engine = _engine(False, False, "rowscan", 4096, "failfast")
+    blocks = engine.runtime.spark.spark_context.text_file(
+        cases[0].local.split('"')[1]
+    ).glom().collect()
+    assert [len(block) for block in blocks] == [RUN, RUN, 0]

@@ -90,6 +90,27 @@ class TestLocalDistributedEquivalence:
         assert local == distributed == [1, 1, 1, 2, 2]
 
 
+class TestNullOrderingKeyAcrossPartitions:
+    """The multi-partition twin of test_flwor_local's
+    ``test_null_sorts_before_values``: a null key is compatible with
+    every family wherever the partition boundary falls."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the family merge treats a null partition as a family",
+    )
+    @pytest.mark.parametrize("tail", [
+        "return string($o.v)",
+        "count $c where $c le 2 return string($o.v)",
+    ])
+    def test_null_sorts_before_values(self, rumble, tail):
+        out = rumble.query(
+            'for $o in parallelize(({"v": 1}, {"v": null}), 2) '
+            "order by $o.v " + tail
+        ).to_python()
+        assert out == ["null", "1"]
+
+
 class TestDistributedErrors:
     def test_order_by_type_error_surfaces(self, rumble):
         with pytest.raises(TypeException):
