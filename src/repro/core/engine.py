@@ -538,7 +538,6 @@ class Rumble:
 def make_engine(
     executors: int = 4,
     parallelism: int = 8,
-    executor_mode: str = "inline",
     block_size: Optional[int] = None,
     config: Optional[RumbleConfig] = None,
     fault_plan: Optional[object] = None,
@@ -584,7 +583,6 @@ def make_engine(
     conf = SparkConf()
     conf.set("spark.executor.instances", executors)
     conf.set("spark.default.parallelism", parallelism)
-    conf.set("spark.executor.mode", executor_mode)
     if block_size is not None:
         conf.set("spark.storage.blockSize", block_size)
     if fault_plan is not None:

@@ -7,10 +7,10 @@ Three distinct notions coexist:
   atomic; the empty sequence is smaller still (handled by the callers).
   Comparing incompatible types (a string with a number) raises ``XPTY0004``.
 
-* **Grouping/ordering keys** — the three-column encoding of Section 4.7:
-  an integer type code, a string column and a double column, designed so
-  that Spark SQL grouping/sorting on those native columns reproduces the
-  JSONiq semantics without ever seeing an ``Item``.
+* **Grouping/ordering keys** — defined once for every clause form: the
+  "at most one atomic" check, the Section 4.7 encoding into three native
+  columns (type code, string, double) the engine groups and sorts on
+  without seeing an ``Item``, and the Section 4.8 type-family discovery.
 
 * **The raw verdict** — :func:`raw_verdict`, the same comparison over
   raw decoded JSON values, three-valued: it decides only what the value
@@ -177,41 +177,57 @@ def values_equal(left: Item, right: Item) -> bool:
     return left == right
 
 
+def raw_sort_key(
+    value, empty_greatest: bool = False
+) -> Optional[Tuple[int, str, float]]:
+    """The one Section 4.7 encoder: the three native columns
+    ``(type_code, string_col, double_col)`` of a decoded JSON scalar or
+    ``ABSENT``, which group and (with :func:`ordering_tuple`'s boolean
+    correction) sort as JSONiq does.  None for an array, an object or
+    anything else that is not a raw JSON scalar: ask the reference."""
+    family = raw_family(value)
+    if family == "string":
+        return (CODE_STRING, value, 0.0)
+    if family == "number":
+        return (CODE_NUMBER, "", float(value))
+    if family == "boolean":
+        return (CODE_TRUE if value else CODE_FALSE, "", 0.0)
+    if family == "null":
+        return (CODE_NULL, "", 0.0)
+    if family == "absent":
+        return (EMPTY_GREATEST if empty_greatest else EMPTY_LEAST, "", 0.0)
+    return None
+
+
 def encode_sort_key(
     item: Optional[Item], empty_greatest: bool = False
 ) -> Tuple[int, str, float]:
-    """Encode one atomic item (or ``None`` for the empty sequence) into the
-    paper's three native columns ``(type_code, string_col, double_col)``.
-
-    Sorting or grouping rows lexicographically by these columns reproduces
-    the JSONiq ordering: empty < null < false < true is achieved by the
-    type codes alone, strings sort within code 5, numbers within code 6.
-    """
+    """The item reader of :func:`raw_sort_key`: one atomic item, or
+    ``None`` for the empty sequence, encoded as the raw scalar it sorts
+    like (dates, times and durations as numbers)."""
     if item is None:
-        return (EMPTY_GREATEST if empty_greatest else EMPTY_LEAST, "", 0.0)
-    if item.is_null:
-        return (CODE_NULL, "", 0.0)
-    if item.is_boolean:
-        # false < true: give false the smaller code.  The paper lists true=3,
-        # false=4; we keep the codes but order via the double column so that
-        # the documented code assignment is preserved verbatim.
-        code = CODE_TRUE if item.value else CODE_FALSE
-        return (code, "", 1.0 if item.value else 0.0)
-    if item.is_string:
-        return (CODE_STRING, item.value, 0.0)
-    if item.is_numeric:
-        return (CODE_NUMBER, "", float(item.value))
-    if item.is_date:
-        return (CODE_NUMBER, "", float(item.value.toordinal()))
-    if item.is_datetime or item.is_time or item.is_duration:
-        return (CODE_NUMBER, "", float(item.sort_key()))
-    raise make_type_error(
-        "XPTY0004", "cannot use {} as an ordering key".format(item.type_name)
-    )
+        value = ABSENT
+    elif item.is_null:
+        value = None
+    elif item.is_atomic:
+        value = item.sort_key()
+    else:
+        raise make_type_error(
+            "XPTY0004", "cannot group or order by " + item.type_name
+        )
+    return raw_sort_key(value, empty_greatest)
 
 
-#: Orders booleans correctly despite the paper's true=3 < false=4 codes:
-#: grouping only needs distinctness, ordering uses this corrected code.
+def grouping_key(item: Optional[Item]) -> Tuple[int, str, float]:
+    """The hashable grouping key for one atomic grouping value.  Unlike
+    ordering, grouping never raises on heterogeneous keys: items of
+    different types land in different groups (paper, Section 4.7)."""
+    return encode_sort_key(item)
+
+
+#: The paper lists true=3 < false=4, which groups correctly (grouping
+#: only needs distinctness) but sorts true first: ordering corrects the
+#: two codes so that empty < null < false < true.
 _ORDER_CODE = {CODE_TRUE: 3.5, CODE_FALSE: 3.0}
 
 
@@ -223,69 +239,91 @@ def ordering_tuple(
     return (_ORDER_CODE.get(code, float(code)), text, number)
 
 
-def grouping_key(item: Optional[Item]) -> Tuple[int, str, float]:
-    """The hashable grouping key for one atomic grouping value.
-
-    Unlike ordering, grouping never raises on heterogeneous keys: items of
-    different types land in different groups (paper, Section 4.7).
-    """
-    if item is None:
-        return (EMPTY_LEAST, "", 0.0)
-    if item.is_null:
-        return (CODE_NULL, "", 0.0)
-    if item.is_boolean:
-        return (CODE_TRUE if item.value else CODE_FALSE, "", 0.0)
-    if item.is_string:
-        return (CODE_STRING, item.value, 0.0)
-    if item.is_numeric:
-        return (CODE_NUMBER, "", float(item.value))
-    if item.is_date:
-        return (CODE_NUMBER, "", float(item.value.toordinal()))
-    if item.is_datetime or item.is_time or item.is_duration:
-        return (CODE_NUMBER, "", float(item.sort_key()))
+def single_atomic_key(
+    items, grouping_variable: Optional[str] = None
+) -> Optional[Item]:
+    """The "at most one atomic item" check both clauses put on a key:
+    the item, or None for the empty sequence.  Worded for ``group by
+    $grouping_variable`` or, without one, for an order-by key."""
+    if not items:
+        return None
+    item = items[0]
+    if len(items) == 1 and item.is_atomic:
+        return item
+    if grouping_variable is None:
+        subject, verb = "order-by key", "evaluated to"
+    else:
+        subject, verb = "grouping variable $" + grouping_variable, "has"
+    if len(items) > 1:
+        raise make_type_error(
+            "XPTY0004", "{} {} more than one item".format(subject, verb)
+        )
     raise make_type_error(
-        "XPTY0004", "cannot group by {}".format(item.type_name)
+        "XPTY0004", "{} is not atomic ({})".format(subject, item.type_name)
+    )
+
+
+def compatible_family(
+    earlier: Optional[str], later: Optional[str]
+) -> Optional[str]:
+    """The Section 4.8 rule on two sort families in row order: ``None``
+    (nothing seen) and ``"null"`` are compatible with every family, two
+    different real families are not."""
+    if later in (None, "null"):
+        return earlier or later
+    if earlier in (None, "null") or earlier == later:
+        return later
+    raise make_type_error(
+        "XPTY0004",
+        "incompatible order-by key types: {} and {}".format(earlier, later),
     )
 
 
 def check_sortable(first_seen: Optional[str], item: Item) -> str:
     """Type-compatibility check for order-by (paper, Section 4.8).
 
-    Returns the sort family of ``item`` and raises when it conflicts with
-    the family already observed in the first pass over the tuple stream.
+    Returns the sort family of ``item`` — its type, the numeric types
+    being one family — and raises when it conflicts with the family
+    already observed in the first pass over the tuple stream.
     """
     if not item.is_atomic:
         raise make_type_error(
             "XPTY0004",
             "order-by keys must be atomic, got " + item.type_name,
         )
-    if item.is_null:
-        return first_seen or "null"
-    if item.is_numeric:
-        family = "number"
-    elif item.is_string:
-        family = "string"
-    elif item.is_boolean:
-        family = "boolean"
-    elif item.is_date:
-        family = "date"
-    elif item.is_datetime:
-        family = "dateTime"
-    elif item.is_time:
-        family = "time"
-    elif item.is_day_time_duration:
-        family = "dayTimeDuration"
-    elif item.is_year_month_duration:
-        family = "yearMonthDuration"
-    else:  # pragma: no cover - all atomics covered above
-        raise make_type_error("XPTY0004", "unsortable " + item.type_name)
-    if first_seen in (None, "null"):
-        return family
-    if first_seen != family:
-        raise make_type_error(
-            "XPTY0004",
-            "incompatible order-by key types: {} and {}".format(
-                first_seen, family
-            ),
-        )
-    return family
+    return compatible_family(
+        first_seen, "number" if item.is_numeric else item.type_name
+    )
+
+
+class KeyFamilies:
+    """What a run of rows contributes to order-by's type discovery: per
+    ordering key, the first real family seen and the first one that
+    differs from it, if any — all the row-by-row fold of
+    :func:`check_sortable` can depend on.  A partition returns its
+    summary instead of raising, so that a conflict is worded as over the
+    whole stream (the family of the earlier row first), whatever the
+    block layout."""
+
+    def __init__(self, width: int):
+        self.seen = [[] for _ in range(width)]
+
+    def add(self, values) -> None:
+        """Record one row's checked key values (``None`` = empty)."""
+        for seen, value in zip(self.seen, values):
+            if value is not None:
+                family = check_sortable(None, value)
+                if family != "null" and family not in seen and len(seen) < 2:
+                    seen.append(family)
+
+    @staticmethod
+    def merge(summaries) -> None:
+        """Fold consecutive runs' summaries, in row order, raising where
+        :func:`check_sortable` would have on the rows themselves."""
+        merged = {}
+        for summary in summaries:
+            for index, seen in enumerate(summary.seen):
+                for family in seen:
+                    merged[index] = compatible_family(
+                        merged.get(index), family
+                    )

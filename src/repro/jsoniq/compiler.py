@@ -505,7 +505,6 @@ class Compiler:
                         )
                         for spec in clause.specs
                     ],
-                    stable=clause.stable,
                 )
             elif isinstance(clause, ast.CountClause):
                 chain = CountClauseIterator(chain, clause.variable)

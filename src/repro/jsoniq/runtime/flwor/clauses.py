@@ -22,7 +22,7 @@ from repro.items import (
     grouping_key,
     ordering_tuple,
 )
-from repro.jsoniq.errors import TypeException
+from repro.items.compare import KeyFamilies, single_atomic_key
 from repro.jsoniq.runtime.base import RuntimeIterator, _cancel_of, _obs_of
 from repro.jsoniq.runtime.dynamic_context import DynamicContext
 from repro.jsoniq.runtime.flwor.tuples import CountedSequence, FlworTuple
@@ -635,6 +635,13 @@ USAGE_COUNT_ONLY = "count"
 USAGE_UNUSED = "unused"
 
 
+def native_columns(name: str) -> Tuple[str, str, str]:
+    """The three native key columns of grouping variable ``name`` (type
+    code, string, double): what :func:`~repro.items.compare.raw_sort_key`
+    is written to and the engine groups and orders on."""
+    return ("#" + name + "#t", "#" + name + "#s", "#" + name + "#n")
+
+
 class GroupByClauseIterator(ClauseIterator):
     """``group by $k (:= expr)?, ...`` — Section 4.7.
 
@@ -663,33 +670,17 @@ class GroupByClauseIterator(ClauseIterator):
     def _key_names(self) -> List[str]:
         return [name for name, _ in self.keys]
 
-    def _bind_keys(
-        self, tuple_: FlworTuple, context: DynamicContext
-    ) -> FlworTuple:
-        """Bind ``$k := expr`` keys; verify every key is <= 1 atomic."""
+    def _bind_keys(self, tuple_: FlworTuple, context: DynamicContext):
+        """Bind ``$k := expr`` keys; the tuple and its grouping key."""
+        parts = []
         for name, expression in self.keys:
             if expression is not None:
                 items = _evaluate_in_tuple(expression, tuple_, context)
                 tuple_ = tuple_.extend(name, items)
-            items = tuple_.get(name)
-            if len(items) > 1:
-                raise TypeException(
-                    "grouping variable ${} has more than one item".format(name)
-                )
-            if items and not items[0].is_atomic:
-                raise TypeException(
-                    "grouping variable ${} is not atomic ({})".format(
-                        name, items[0].type_name
-                    )
-                )
-        return tuple_
-
-    def _grouping_key(self, tuple_: FlworTuple):
-        parts = []
-        for name, _ in self.keys:
-            items = tuple_.get(name)
-            parts.append(grouping_key(items[0] if items else None))
-        return tuple(parts)
+            parts.append(
+                grouping_key(single_atomic_key(tuple_.get(name), name))
+            )
+        return tuple_, tuple(parts)
 
     def _merge_group(self, members: List[FlworTuple]) -> FlworTuple:
         key_names = set(self._key_names())
@@ -717,8 +708,8 @@ class GroupByClauseIterator(ClauseIterator):
     def tuple_stream(self, context: DynamicContext) -> Iterator[FlworTuple]:
         groups: Dict[tuple, List[FlworTuple]] = {}
         for tuple_ in self._input_tuples(context):
-            tuple_ = self._bind_keys(tuple_, context)
-            groups.setdefault(self._grouping_key(tuple_), []).append(tuple_)
+            tuple_, key = self._bind_keys(tuple_, context)
+            groups.setdefault(key, []).append(tuple_)
         # JSONiq leaves group order undefined; emitting groups in key
         # order makes local and distributed execution agree exactly.
         for _, members in sorted(groups.items(), key=lambda kv: kv[0]):
@@ -745,7 +736,7 @@ class GroupByClauseIterator(ClauseIterator):
         # paper notes the column creation is done "in pure Java").
         keys = [
             (name, expression, _make_fast_extractor(expression)
-             if expression is not None else None)
+             if expression is not None else None, native_columns(name))
             for name, expression in self.keys
         ]
         key_name_set = set(key_names)
@@ -767,7 +758,7 @@ class GroupByClauseIterator(ClauseIterator):
                     out[name] = CountedSequence(len(value))
                 else:
                     out[name] = value
-            for name, expression, fast in keys:
+            for name, expression, fast, columns in keys:
                 if fast is not None:
                     items = fast(row)
                     out[name] = items
@@ -779,23 +770,9 @@ class GroupByClauseIterator(ClauseIterator):
                     inner.bind_shared(name, items)
                 else:
                     items = out.get(name, [])
-                if len(items) > 1:
-                    raise TypeException(
-                        "grouping variable ${} has more than one item"
-                        .format(name)
-                    )
-                if items and not items[0].is_atomic:
-                    raise TypeException(
-                        "grouping variable ${} is not atomic ({})".format(
-                            name, items[0].type_name
-                        )
-                    )
-                code, text, number = grouping_key(
-                    items[0] if items else None
+                out[columns[0]], out[columns[1]], out[columns[2]] = (
+                    grouping_key(single_atomic_key(items, name))
                 )
-                out["#" + name + "#t"] = code
-                out["#" + name + "#s"] = text
-                out["#" + name + "#n"] = number
             return [out]
 
         encoded = frame.rdd.flat_map(encode)
@@ -814,9 +791,9 @@ class GroupByClauseIterator(ClauseIterator):
                 list(source_columns) + key_names
             )
         ]
-        native = []
-        for name in key_names:
-            native += ["#" + name + "#t", "#" + name + "#s", "#" + name + "#n"]
+        native = [
+            column for name in key_names for column in native_columns(name)
+        ]
         working = self._frame(
             context.runtime.spark, encoded, variables + native
         )
@@ -889,70 +866,41 @@ class GroupByClauseIterator(ClauseIterator):
 class OrderByClauseIterator(ClauseIterator):
     """``order by spec, ...`` — Section 4.8.
 
-    A first pass discovers each key's type family and raises on
-    incompatibilities; a second pass creates the needed native columns and
-    delegates to the engine's ORDER BY.
+    One pass evaluates each key once, checks it, records its type family
+    (a conflict raises on the driver, worded as over the whole stream)
+    and encodes its native sort column; the engine's ORDER BY does the
+    rest.  ``stable`` needs no flag: every form keeps the input order
+    among ties — Python's sort, ``heapq.nsmallest``, the engine's sort,
+    the partition-ordered candidate merge (pinned by the key matrix).
     """
 
     def __init__(
         self,
         input_clause: ClauseIterator,
         specs: List[Tuple[RuntimeIterator, bool, bool]],
-        stable: bool = False,
     ):
         super().__init__(input_clause)
         #: (expression, ascending, empty_greatest) per ordering key
         self.specs = specs
-        self.stable = stable
 
     def _key_of(
         self, tuple_: FlworTuple, context: DynamicContext
     ) -> List[Optional[Item]]:
-        return self._key_of_context(tuple_.to_context(context))
-
-    def _key_of_context(
-        self, inner: DynamicContext
-    ) -> List[Optional[Item]]:
-        values: List[Optional[Item]] = []
-        for expression, _, _ in self.specs:
-            items = expression.materialize_local(inner)
-            values.append(self._check_key(items))
-        return values
-
-    @staticmethod
-    def _check_key(items: List[Item]) -> Optional[Item]:
-        if len(items) > 1:
-            raise TypeException(
-                "order-by key evaluated to more than one item"
-            )
-        if items and not items[0].is_atomic:
-            raise TypeException(
-                "order-by key is not atomic ({})".format(items[0].type_name)
-            )
-        return items[0] if items else None
-
-    def _row_key_reader(self, context: DynamicContext):
-        """A per-row key evaluator using fast extractors when possible."""
-        extractors = [
-            _make_fast_extractor(expression)
+        inner = tuple_.to_context(context)
+        return [
+            single_atomic_key(expression.materialize_local(inner))
             for expression, _, _ in self.specs
         ]
-        expressions = [expression for expression, _, _ in self.specs]
-        check = self._check_key
 
-        def read(row: Dict[str, object]) -> List[Optional[Item]]:
-            inner = None
-            values: List[Optional[Item]] = []
-            for fast, expression in zip(extractors, expressions):
-                if fast is not None:
-                    values.append(check(fast(row)))
-                else:
-                    if inner is None:
-                        inner = _row_context(context, row)
-                    values.append(check(expression.materialize_local(inner)))
-            return values
-
-        return read
+    def _row_key_reader(self, context: DynamicContext):
+        """A per-row key evaluator: the fast extractor for ``$v.key``
+        keys, the reference evaluator otherwise."""
+        readers = [
+            _make_fast_extractor(expression)
+            or _row_evaluator(expression, context)
+            for expression, _, _ in self.specs
+        ]
+        return lambda row: [single_atomic_key(read(row)) for read in readers]
 
     def _ordering_row(
         self, values: List[Optional[Item]]
@@ -961,6 +909,15 @@ class OrderByClauseIterator(ClauseIterator):
             ordering_tuple(value, empty_greatest)
             for value, (_, _, empty_greatest) in zip(values, self.specs)
         ]
+
+    def decorated(self, rows, key_of, families: KeyFamilies):
+        """The one decorate pass of every derived form: yield
+        ``(ordering row, row)`` per row, each key evaluated once by
+        ``key_of(row)``, its family recorded in ``families``."""
+        for row in rows:
+            values = key_of(row)
+            families.add(values)
+            yield self._ordering_row(values), row
 
     def tuple_stream(self, context: DynamicContext) -> Iterator[FlworTuple]:
         materialized: List[Tuple[List[tuple], FlworTuple]] = []
@@ -980,53 +937,32 @@ class OrderByClauseIterator(ClauseIterator):
 
     def get_dataframe(self, context: DynamicContext) -> DataFrame:
         frame = self.input_clause.get_dataframe(context)
-        # The type-discovery pass plus the sort itself scan the input
-        # twice; persist it so upstream lineage runs once (what Rumble
-        # gets from Spark SQL caching the exchange input).
-        frame.rdd.cache()
         key_of = self._row_key_reader(context)
-        ordering_row = self._ordering_row
-        specs = self.specs
+        width = len(self.specs)
+        native = ["#ord{}".format(index) for index in range(width)]
 
-        # First pass: type discovery (Section 4.8 requires the error).
-        def families_of(row: Dict[str, object]) -> List[Optional[str]]:
-            values = key_of(row)
-            return [
-                None if value is None else check_sortable(None, value)
-                for value in values
-            ]
+        def decorate(part):
+            families = KeyFamilies(width)
+            keyed = []
+            for ordering_row, row in self.decorated(part, key_of, families):
+                out = dict(row)
+                out.update(zip(native, ordering_row))
+                keyed.append(out)
+            return [(families, keyed)]
 
-        def merge_families(left, right) -> List[Optional[str]]:
-            merged = []
-            for mine, theirs in zip(left, right):
-                if mine is not None and theirs is not None and mine != theirs:
-                    raise TypeException(
-                        "incompatible order-by key types: {} and {}".format(
-                            mine, theirs
-                        )
-                    )
-                merged.append(mine if mine is not None else theirs)
-            return merged
-
-        if not frame.rdd.is_empty():
-            frame.rdd.map(families_of).reduce(merge_families)
-
-        # Second pass: native key columns + engine sort.
-        def attach(row: Dict[str, object]) -> Dict[str, object]:
-            values = key_of(row)
-            out = dict(row)
-            for index, key in enumerate(ordering_row(values)):
-                out["#ord{}".format(index)] = key
-            return out
-
-        keyed = frame.rdd.map(attach)
-        native = ["#ord{}".format(index) for index in range(len(specs))]
+        # Type discovery (Section 4.8 requires the error) and the sort
+        # both read the decorated partitions: persisted, upstream lineage
+        # and the keys run once (Spark SQL caches the exchange input).
+        partitions = frame.rdd.map_partitions(decorate).cache()
+        KeyFamilies.merge(partitions.map(lambda pair: pair[0]).collect())
         working = self._frame(
-            context.runtime.spark, keyed, list(frame.columns) + native
+            context.runtime.spark,
+            partitions.flat_map(lambda pair: pair[1]),
+            list(frame.columns) + native,
         )
         ordered = working.order_by(
             *[col(name) for name in native],
-            ascending=[ascending for _, ascending, _ in specs],
+            ascending=[ascending for _, ascending, _ in self.specs],
         )
         return ordered.drop(*native)
 

@@ -30,15 +30,10 @@ from typing import Optional
 
 from repro.items.compare import (
     ABSENT,
-    CODE_FALSE,
-    CODE_NULL,
-    CODE_NUMBER,
-    CODE_STRING,
-    CODE_TRUE,
-    EMPTY_LEAST,
-    raw_family,
+    grouping_key,
+    raw_sort_key,
+    single_atomic_key,
 )
-from repro.jsoniq.errors import TypeException
 
 
 class GroupByCountKernel:
@@ -91,9 +86,11 @@ class GroupByCountKernel:
     def partial_rows(self, context):
         """The RDD of partial rows, or None when the runtime's flags rule
         the kernel out (caller falls back to the reference path)."""
+        from repro.jsoniq.jsonlines import _wrap_fast
         from repro.jsoniq.runtime.base import _obs_of
         from repro.jsoniq.runtime.flwor.clauses import (
             USAGE_COUNT_ONLY,
+            native_columns,
         )
         from repro.jsoniq.runtime.flwor.pushdown import SINK_GROUP
         from repro.jsoniq.runtime.flwor.tuples import CountedSequence
@@ -106,14 +103,21 @@ class GroupByCountKernel:
         variable = plan.variable
         count_only = self.usage == USAGE_COUNT_ONLY
         key_specs = tuple(self.keys)
+        native_names = [
+            column for name, _ in key_specs for column in native_columns(name)
+        ]
         obs = _obs_of(context)
         if obs is not None:
             obs.metrics.counter("rumble.columnar.group_kernel").inc()
 
-        def partials(batches):
-            from repro.jsoniq.jsonlines import _wrap_fast
+        def reference_key(name, value):
+            """The reference: the clause's own check words the error."""
+            return grouping_key(single_atomic_key([_wrap_fast(value)], name))
 
-            groups = {}  # native key tuple -> [key raw values, count]
+        def partials(batches):
+            # flat native cells (three per key; one tuple per group keeps
+            # the collector's work down) -> [key raw values, count]
+            groups = {}
             for masked in batches:
                 batch = masked.batch
                 escaped = batch.escaped
@@ -125,64 +129,40 @@ class GroupByCountKernel:
                     native = []
                     raw_values = []
                     record = escaped.get(row, ABSENT)
-                    if record is not ABSENT:
-                        is_dict = type(record) is dict
-                        for name, key, _column in readers:
-                            value = (
-                                record.get(key, ABSENT) if is_dict else ABSENT
-                            )
-                            raw_values.append(value)
-                            native.extend(_raw_grouping_key(name, value))
-                    else:
-                        for name, _key, column in readers:
+                    for name, key, column in readers:
+                        if record is ABSENT:
                             value = (
                                 column.read(row) if column is not None
                                 else ABSENT
                             )
-                            raw_values.append(value)
-                            native.extend(_raw_grouping_key(name, value))
-                    entry = groups.get(tuple(native))
+                        elif type(record) is dict:
+                            value = record.get(key, ABSENT)
+                        else:
+                            value = ABSENT
+                        raw_values.append(value)
+                        native.extend(
+                            raw_sort_key(value) or reference_key(name, value)
+                        )
+                    native = tuple(native)
+                    entry = groups.get(native)
                     if entry is None:
-                        groups[tuple(native)] = [raw_values, 1]
+                        groups[native] = [raw_values, 1]
                     else:
                         entry[1] += 1
             # First-encounter order; the downstream ORDER BY on the
             # native columns makes the final order deterministic anyway.
             for native, (raw_values, count) in groups.items():
                 out = {}
-                position = 0
                 for (name, _key), value in zip(key_specs, raw_values):
                     out[name] = (
                         [] if value is ABSENT else [_wrap_fast(value)]
                     )
-                    out["#" + name + "#t"] = native[position]
-                    out["#" + name + "#s"] = native[position + 1]
-                    out["#" + name + "#n"] = native[position + 2]
-                    position += 3
+                out.update(zip(native_names, native))
                 if count_only:
                     out[variable] = CountedSequence(count)
                 yield out
 
         return rdd.map_partitions(partials)
-
-
-def _raw_grouping_key(name: str, value):
-    """``repro.items.compare.grouping_key`` computed straight from a raw
-    column value, with the group-by clause's atomicity errors."""
-    family = raw_family(value)
-    if family == "string":
-        return (CODE_STRING, value, 0.0)
-    if family == "number":
-        return (CODE_NUMBER, "", float(value))
-    if family == "boolean":
-        return (CODE_TRUE if value else CODE_FALSE, "", 0.0)
-    if family is None:
-        raise TypeException(
-            "grouping variable ${} is not atomic ({})".format(
-                name, "array" if isinstance(value, list) else "object"
-            )
-        )
-    return (EMPTY_LEAST if family == "absent" else CODE_NULL, "", 0.0)
 
 
 def rdd_count(plan, context) -> Optional[int]:

@@ -38,17 +38,21 @@ differential and lattice tests compare against.
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, List, Optional, Set, Tuple
 
+from repro.items.atomics import IntegerItem
 from repro.items.compare import (
     ABSENT,
     GENERAL_TO_VALUE,
     VALUE_OPS,
+    KeyFamilies,
     family_decides,
     raw_family,
     raw_verdict,
 )
 from repro.jsoniq import ast
+from repro.spark.dataframe import _Reversed
 
 #: What a plan's scanned batches feed (:meth:`PushdownPlan.sink`).
 SINK_BOX = "box"
@@ -548,8 +552,8 @@ def _rewrite_topk(flwor: ast.FlworExpression, return_iterator) -> None:
     if not isinstance(condition, ComparisonIterator):
         return
     limit = _bound_of(condition, count.variable)
-    if limit is None:
-        return
+    if limit is None or limit < 1:
+        return  # nothing to keep: the reference chain answers (or raises)
     # No downstream-use check needed: the heap emits exactly the first k
     # tuples of the sorted stream with the count variable bound 1..k —
     # identical to what count + where would have produced.
@@ -596,30 +600,16 @@ def _bound_of(condition, count_variable: str) -> Optional[int]:
 # The top-k clause
 # ---------------------------------------------------------------------------
 
-class _Descending:
-    """Inverts comparison order for descending ordering keys inside one
-    composite sort key."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other) -> bool:
-        return other.value < self.value
-
-    def __eq__(self, other) -> bool:
-        return self.value == other.value
-
-
 def _composite_key(specs):
     """A single composite sort key equivalent to the reference's chain
-    of per-key stable sorts (first spec is the primary key)."""
+    of per-key stable sorts (first spec is the primary key); a
+    descending key is inverted by the wrapper the engine's own ORDER BY
+    uses."""
     directions = [ascending for _, ascending, _ in specs]
 
     def key(ordering_row) -> tuple:
         return tuple(
-            part if ascending else _Descending(part)
+            part if ascending else _Reversed(part)
             for part, ascending in zip(ordering_row, directions)
         )
 
@@ -632,7 +622,7 @@ class TopKClauseIterator:
     Keeps only k candidates per partition in a heap (stable
     ``heapq.nsmallest``) and merges them on the driver — the classic
     TopK physical operator replacing full-sort + row-number + filter.
-    Type-family discovery runs over *every* row first, so incompatible
+    Type-family discovery reads *every* row in that pass, so incompatible
     ordering keys raise exactly as the reference order-by does.
     """
 
@@ -652,49 +642,34 @@ class TopKClauseIterator:
         runtime = context.runtime
         return runtime is not None and runtime.flags.pushdown
 
-    @staticmethod
-    def _merge_families(families, observed) -> None:
-        from repro.jsoniq.errors import TypeException
+    def _smallest(self, decorated):
+        """The first ``limit`` of ``(ordering row, row)`` pairs in the
+        order-by's order (stable: ties keep the order they arrive in)."""
+        composite = _composite_key(self.order_clause.specs)
+        return heapq.nsmallest(
+            self.limit, decorated, key=lambda pair: composite(pair[0])
+        )
 
-        for index, family in enumerate(observed):
-            if family is None:
-                continue
-            if families[index] is not None and families[index] != family:
-                raise TypeException(
-                    "incompatible order-by key types: {} and {}".format(
-                        families[index], family
-                    )
-                )
-            families[index] = family
+    def _best(self, rows, key_of):
+        """One decorate pass over ``rows`` through a heap: their family
+        summary and their first ``limit`` pairs."""
+        order = self.order_clause
+        families = KeyFamilies(len(order.specs))
+        return families, self._smallest(
+            order.decorated(rows, key_of, families)
+        )
 
     # -- Local API ---------------------------------------------------------------
     def tuple_stream(self, context):
-        import heapq
-
-        from repro.items import IntegerItem, check_sortable
-
         if not self._enabled(context):
             yield from self.fallback.tuple_stream(context)
             return
-        if self.limit <= 0:
-            return
         order = self.order_clause
-        families = [None] * len(order.specs)
-
-        def decorated():
-            for tuple_ in order._input_tuples(context):
-                values = order._key_of(tuple_, context)
-                for index, value in enumerate(values):
-                    if value is not None:
-                        families[index] = check_sortable(
-                            families[index], value
-                        )
-                yield (order._ordering_row(values), tuple_)
-
-        composite = _composite_key(order.specs)
-        best = heapq.nsmallest(
-            self.limit, decorated(), key=lambda pair: composite(pair[0])
+        families, best = self._best(
+            order._input_tuples(context),
+            lambda tuple_: order._key_of(tuple_, context),
         )
+        KeyFamilies.merge([families])
         for position, (_, tuple_) in enumerate(best, 1):
             yield tuple_.extend(
                 self.count_variable, [IntegerItem(position)]
@@ -702,66 +677,36 @@ class TopKClauseIterator:
 
     # -- DataFrame API ------------------------------------------------------------
     def supports_dataframe(self, context) -> bool:
-        if not self._enabled(context):
-            return self.fallback.supports_dataframe(context)
+        # The fallback's answer too: its clauses inherit their input's.
         return self.input_clause.supports_dataframe(context)
 
     def get_dataframe(self, context):
-        import heapq
-
-        from repro.items import IntegerItem, check_sortable
         from repro.jsoniq.runtime.base import _obs_of
+        from repro.jsoniq.runtime.flwor.clauses import ClauseIterator
 
         if not self._enabled(context):
             return self.fallback.get_dataframe(context)
         order = self.order_clause
         frame = self.input_clause.get_dataframe(context)
         key_of = order._row_key_reader(context)
-        ordering_row = order._ordering_row
-        composite = _composite_key(order.specs)
-        limit = self.limit
-        spec_count = len(order.specs)
-
-        def top_of_partition(part):
-            """(families, top-k candidates) for one partition — the
-            type-discovery pass and the heap run in the same scan."""
-            families = [None] * spec_count
-            decorated = []
-            for row in part:
-                values = key_of(row)
-                for index, value in enumerate(values):
-                    if value is not None:
-                        families[index] = check_sortable(
-                            families[index], value
-                        )
-                decorated.append((ordering_row(values), row))
-            best = heapq.nsmallest(
-                limit, decorated, key=lambda pair: composite(pair[0])
-            ) if limit > 0 else []
-            return [(families, best)]
-
-        summaries = frame.rdd.map_partitions(top_of_partition).collect()
-        families = [None] * spec_count
-        candidates = []
-        for observed, best in summaries:
-            self._merge_families(families, observed)
-            candidates.extend(best)
-        merged = heapq.nsmallest(
-            limit, candidates, key=lambda pair: composite(pair[0])
-        ) if limit > 0 else []
+        # The driver merges the partitions' family summaries, then
+        # their candidates, both in partition order.
+        partitions = frame.rdd.map_partitions(
+            lambda part: [self._best(part, key_of)]
+        ).collect()
+        KeyFamilies.merge(families for families, _ in partitions)
+        candidates = [pair for _, best in partitions for pair in best]
         obs = _obs_of(context)
         if obs is not None:
             obs.metrics.counter("rumble.pushdown.topk_rewrites").inc()
         variable = self.count_variable
         rows = []
-        for position, (_, row) in enumerate(merged, 1):
+        for position, (_, row) in enumerate(self._smallest(candidates), 1):
             out = dict(row)
             out[variable] = [IntegerItem(position)]
             rows.append(out)
         runtime = context.runtime
         rdd = runtime.spark.spark_context.parallelize(rows, 1)
-        from repro.jsoniq.runtime.flwor.clauses import ClauseIterator
-
         return ClauseIterator._frame(
             runtime.spark, rdd, list(frame.columns) + [variable]
         )

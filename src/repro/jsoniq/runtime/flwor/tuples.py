@@ -111,18 +111,6 @@ class FlworTuple:
                 context.bind_shared(name, value)
         return context
 
-    @staticmethod
-    def from_row(row: Dict[str, object]) -> "FlworTuple":
-        """Rebuild a tuple from a DataFrame row (dropping helper columns)."""
-        return FlworTuple({
-            name: value
-            for name, value in row.items()
-            if not name.startswith("#")
-        })
-
-    def to_row(self) -> Dict[str, object]:
-        return dict(self.bindings)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "FlworTuple({})".format(
             {k: len(v) if hasattr(v, "__len__") else v

@@ -868,30 +868,14 @@ def key_matrix(tmp_path_factory):
     return cases, reference
 
 
-#: On the parent commit the two hand-written family merges treat a null
-#: run as a family of its own, a partition folds its own rows into an
-#: error before the driver has seen the earlier partitions', and the
-#: rewritten top-k clause's local form reads no row when it keeps none.
-KNOWN_DIVERGENT = (
-    "null + number", "number + null", "null + string", "null + boolean",
-    "absent + null + number", "null among numbers",
-    "number + string, string opens a later block",
-)
-
-
-def _known_divergent(case, reference):
-    population = case.name.partition(" over ")[2].partition(" / ")[0]
-    return population in KNOWN_DIVERGENT or (
-        "top-0" in case.name and reference[case.name][0] == "error"
-    )
-
-
-def _key_disagreements(engine, block_size, key_matrix, known_divergent):
+@pytest.mark.parametrize("fusion,adaptive,level,block_size", POINTS)
+def test_key_matrix_agrees_with_local_iterators(
+    fusion, adaptive, level, block_size, key_matrix
+):
     cases, reference = key_matrix
+    engine = _engine(fusion, adaptive, level, block_size, "failfast")
     disagreements = []
     for case in cases:
-        if _known_divergent(case, reference) != known_divergent:
-            continue
         if case.one_block and block_size is not None:
             continue  # the small block size splits the file regardless
         texts = [case.distributed]
@@ -905,35 +889,9 @@ def _key_disagreements(engine, block_size, key_matrix, known_divergent):
                 disagreements.append(
                     (case.name, reference[case.name], outcome)
                 )
-    return disagreements
-
-
-@pytest.mark.parametrize("fusion,adaptive,level,block_size", POINTS)
-def test_key_matrix_agrees_with_local_iterators(
-    fusion, adaptive, level, block_size, key_matrix
-):
-    engine = _engine(fusion, adaptive, level, block_size, "failfast")
-    disagreements = _key_disagreements(
-        engine, block_size, key_matrix, False
-    )
     assert not disagreements, "{} of the key matrix diverged, e.g. {}".format(
         len(disagreements), disagreements[:3]
     )
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="a null run and a value run in different partitions raise "
-           "'incompatible order-by key types: null and ...'; a family "
-           "conflict is worded by the partition that folds it; the local "
-           "top-k form skips type discovery when it keeps no row",
-)
-@pytest.mark.parametrize("fusion,adaptive,level,block_size", POINTS)
-def test_key_matrix_known_divergences(
-    fusion, adaptive, level, block_size, key_matrix
-):
-    engine = _engine(fusion, adaptive, level, block_size, "failfast")
-    assert not _key_disagreements(engine, block_size, key_matrix, True)
 
 
 def test_key_matrix_is_not_vacuous(key_matrix):

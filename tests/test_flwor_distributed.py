@@ -95,10 +95,6 @@ class TestNullOrderingKeyAcrossPartitions:
     ``test_null_sorts_before_values``: a null key is compatible with
     every family wherever the partition boundary falls."""
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the family merge treats a null partition as a family",
-    )
     @pytest.mark.parametrize("tail", [
         "return string($o.v)",
         "count $c where $c le 2 return string($o.v)",

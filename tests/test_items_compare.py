@@ -1,6 +1,8 @@
 """Comparison semantics and the Section 4.7 key encodings."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.items import (
     FALSE,
@@ -16,11 +18,13 @@ from repro.items import (
     check_sortable,
     encode_sort_key,
     grouping_key,
+    item_from_python,
     ordering_tuple,
     value_compare,
     values_equal,
 )
 from repro.items.compare import (
+    ABSENT,
     CODE_FALSE,
     CODE_NULL,
     CODE_NUMBER,
@@ -28,6 +32,9 @@ from repro.items.compare import (
     CODE_TRUE,
     EMPTY_GREATEST,
     EMPTY_LEAST,
+    KeyFamilies,
+    raw_sort_key,
+    single_atomic_key,
 )
 from repro.jsoniq.errors import TypeException
 
@@ -149,3 +156,81 @@ class TestCheckSortable:
     def test_non_atomic_raises(self):
         with pytest.raises(TypeException):
             check_sortable(None, ArrayItem([]))
+
+
+class TestKeyProtocol:
+    """The raw reader and the item reader are one encoder; the check
+    words both clauses' errors; a summary merges as the fold folds."""
+
+    @given(
+        st.one_of(
+            st.none(), st.booleans(),
+            st.integers(min_value=-2**63, max_value=2**63),
+            st.floats(allow_nan=False), st.text(max_size=20),
+        ),
+        st.booleans(),
+    )
+    def test_raw_reader_agrees_with_item_reader(self, value, greatest):
+        assert raw_sort_key(value, greatest) == encode_sort_key(
+            item_from_python(value), greatest
+        )
+
+    @pytest.mark.parametrize("greatest", [False, True])
+    def test_raw_reader_on_absent_and_non_scalars(self, greatest):
+        assert raw_sort_key(ABSENT, greatest) \
+            == encode_sort_key(None, greatest)
+        for value in ([], [1], {}, {"a": 1}, (1,), object()):
+            assert raw_sort_key(value, greatest) is None
+
+    def test_single_atomic_key_words_both_clauses(self):
+        one = IntegerItem(1)
+        assert single_atomic_key([]) is None
+        assert single_atomic_key([one], "k") is one
+        for items, variable, message in (
+            ([one, one], None,
+             "order-by key evaluated to more than one item"),
+            ([ArrayItem([])], None, "order-by key is not atomic (array)"),
+            ([one, one], "k",
+             "grouping variable $k has more than one item"),
+            ([ObjectItem({})], "k",
+             "grouping variable $k is not atomic (object)"),
+        ):
+            with pytest.raises(TypeException) as raised:
+                single_atomic_key(items, variable)
+            assert str(raised.value) == "[XPTY0004] " + message
+
+    @given(st.lists(
+        st.one_of(st.none(), st.integers(), st.text(max_size=3),
+                  st.booleans(), st.just(ABSENT)),
+        max_size=12,
+    ), st.integers(min_value=0, max_value=12))
+    def test_merged_summaries_raise_as_the_fold(self, values, cut):
+        """Any split of a key column into two runs merges to what
+        check_sortable says over the whole column, message included."""
+        items = [
+            None if value is ABSENT else item_from_python(value)
+            for value in values
+        ]
+
+        def fold():
+            family = None
+            for item in items:
+                if item is not None:
+                    family = check_sortable(family, item)
+
+        def merged():
+            runs = []
+            for run in (items[:cut], items[cut:]):
+                runs.append(KeyFamilies(1))
+                for item in run:
+                    runs[-1].add([item])
+            KeyFamilies.merge(runs)
+
+        outcomes = []
+        for attempt in (fold, merged):
+            try:
+                attempt()
+                outcomes.append(None)
+            except TypeException as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
