@@ -41,6 +41,7 @@ from repro.core.engine import CompiledQuery
 from repro.items.compare import GENERAL_TO_VALUE, VALUE_OPS
 from repro.jsoniq.errors import JsoniqException
 from repro.jsoniq.jsonlines import PARSE_MODES
+from repro.obs import Observability
 from tests.test_differential import EXAMPLE_QUERIES, QUERY_DIR
 from tests.test_paper_queries import PAPER_QUERIES
 
@@ -423,6 +424,32 @@ def test_point_agrees_with_reference(
         assert _outcome(engines[mode], query) == reference[name], (
             "{} diverged from the all-off reference".format(name)
         )
+
+
+@pytest.mark.parametrize(
+    "block_size", BLOCK_SIZES,
+    ids=["blocks{}".format(size or "default") for size in BLOCK_SIZES],
+)
+def test_probes_change_nothing(block_size, corpus, reference):
+    """An enabled observability bundle — what every ``Session`` installs
+    — is a second reading of the same run, never a second code path: at
+    the default optimizer point every case keeps its items and its
+    error type + message (the reference is the ``NOOP`` all-off engine,
+    which the same point under ``NOOP`` agrees with, above)."""
+    engines = {}
+    for mode in PARSE_MODES:
+        engines[mode] = _engine(True, True, "codegen", block_size, mode)
+        engines[mode].runtime.obs = Observability(enabled=True)
+    for name, mode, query in corpus:
+        assert _outcome(engines[mode], query) == reference[name], (
+            "{} changed under an enabled bundle".format(name)
+        )
+    for engine in engines.values():
+        counters = engine.runtime.obs.metrics.snapshot()["counters"]
+        assert any(
+            name.startswith("rumble.clause.rows_out") and value
+            for name, value in counters.items()
+        ), "the bundle must actually have counted rows"
 
 
 def test_reference_is_not_vacuous(reference):
