@@ -153,8 +153,10 @@ def codegen_figures(confusion_path, bench_record) -> Dict:
         "seconds_off": round(best["off"]["wall"], 4),
         "speedup": round(best["off"]["wall"] / best["on"]["wall"], 3),
         "warm_cache_hits": _warm_cache_hits(engines["on"], query),
-        "counters_on": _codegen_counters(engines["on"], query),
-        "counters_off": _codegen_counters(engines["off"], query),
+        # Fresh engines: a profile is the plain run, so on the warm ones
+        # it would hit the plan cache and compile nothing.
+        "counters_on": _codegen_counters(_engine(True), query),
+        "counters_off": _codegen_counters(_engine(False), query),
     }
     bench_record["codegen-map"] = dict(figure)
     figure["_results"] = (best["on"]["result"], best["off"]["result"])

@@ -67,21 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
              "failures and stragglers; recovery is reported on stderr)",
     )
     parser.add_argument(
-        "--chaos-crash-rate", type=float, default=0.1, metavar="RATE",
-        help="with --chaos-seed, per-attempt task crash probability "
-             "(default 0.1)",
-    )
-    parser.add_argument(
-        "--chaos-fetch-rate", type=float, default=0.05, metavar="RATE",
-        help="with --chaos-seed, shuffle-fetch failure probability "
-             "(default 0.05)",
-    )
-    parser.add_argument(
-        "--chaos-slow-rate", type=float, default=0.05, metavar="RATE",
-        help="with --chaos-seed, straggler-task probability "
-             "(default 0.05)",
-    )
-    parser.add_argument(
         "--no-adaptive", dest="adaptive", action="store_false",
         default=None,
         help="turn adaptive query execution off (runtime partition "
@@ -200,11 +185,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
              "during graceful shutdown",
     )
     parser.add_argument(
-        "--no-cancellation", dest="cancellation", action="store_false",
-        help="disable cooperative cancellation (timeouts then only "
-             "abandon the response; the worker runs to completion)",
-    )
-    parser.add_argument(
         "--chaos-seed", type=int, metavar="SEED",
         help="inject deterministic serving-layer faults (slow client "
              "reads, worker deaths, cancellation races) with this seed; "
@@ -265,7 +245,6 @@ def serve_main(argv) -> int:
             session_config=session_config,
             result_cap=arguments.cap,
             drain_timeout=arguments.drain_timeout,
-            cancellation=arguments.cancellation,
             fault_plan=fault_plan,
             event_log_dir=arguments.event_log,
         )
@@ -323,10 +302,10 @@ def main(argv=None) -> int:
 
         fault_plan = FaultPlan(
             seed=arguments.chaos_seed,
-            crash_rate=arguments.chaos_crash_rate,
-            executor_death_rate=arguments.chaos_crash_rate / 4.0,
-            fetch_failure_rate=arguments.chaos_fetch_rate,
-            slow_task_rate=arguments.chaos_slow_rate,
+            crash_rate=0.1,
+            executor_death_rate=0.025,
+            fetch_failure_rate=0.05,
+            slow_task_rate=0.05,
         )
         engine = make_engine(config=config, fault_plan=fault_plan)
     else:
@@ -398,12 +377,8 @@ def _run(engine: Rumble, query_text: str, arguments) -> int:
         ))
         _report_chaos(engine, arguments)
         return 0
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for item in result.collect():
-            print(item.serialize())
+    for item in result.collect_capped()[0]:
+        print(item.serialize())
     _report_chaos(engine, arguments)
     return 0
 

@@ -34,9 +34,6 @@ class RumbleConfig:
     #: clause-by-clause evaluation the differential tests compare
     #: against.  See docs/performance.md.
     pushdown: bool = True
-    #: How many items batched pulls (:meth:`RuntimeIterator.next_batch`)
-    #: fetch per call on hot paths, instead of item-at-a-time ``next()``.
-    batch_size: int = 256
     #: Adaptive query execution (runtime partition coalescing, skew
     #: splitting and join re-planning; see docs/performance.md).  None
     #: inherits the substrate default (``spark.adaptive.enabled``).
@@ -80,8 +77,6 @@ class RumbleConfig:
                     self.parse_mode, ", ".join(PARSE_MODES)
                 )
             )
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.memory_budget is not None and self.memory_budget <= 0:
             raise ValueError("memory_budget must be positive")
         if self.plan_cache_size < 0:

@@ -12,18 +12,19 @@ execution (local or on the Spark substrate), all behind one class::
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import OptimizerFlags, RumbleConfig
 from repro.core.results import SequenceOfItems
 from repro.items import Item, item_from_python
-from repro.jsoniq import parser as jsoniq_parser
 from repro.jsoniq import static_analysis
-from repro.jsoniq.compiler import compile_main_module
+from repro.jsoniq.compiler import Compiler
+from repro.jsoniq.lexer import Token, tokenize
+from repro.jsoniq.parser import Parser
 from repro.jsoniq.runtime.base import RuntimeIterator
 from repro.jsoniq.runtime.dynamic_context import DynamicContext
+from repro.jsoniq.runtime.primary import LiteralIterator
 from repro.obs import NOOP, Observability, ProfileReport
 from repro.spark import SparkConf, SparkSession
 
@@ -69,28 +70,40 @@ class CompiledQuery:
     """A parsed, analysed and code-generated query, ready to run."""
 
     def __init__(self, engine: "Rumble", module, iterator: RuntimeIterator,
-                 globals_: List[Tuple[str, RuntimeIterator]]):
+                 globals_: List[Tuple[str, RuntimeIterator]],
+                 slots: Tuple[int, ...] = ()):
         self._engine = engine
         self.module = module
         self.iterator = iterator
         self.globals = globals_
+        #: Ordinals of the literal tokens this plan reads as parameters
+        #: (``()`` unless compiled for :mod:`repro.server.plan_cache`).
+        self.slots = slots
+
+    def context(self, literals=()) -> DynamicContext:
+        """A root context with one run's parameters bound: the
+        :attr:`slots` of ``literals``, the text's literal tokens."""
+        context = self._engine.fresh_context()
+        for ordinal in self.slots:
+            literal = literals[ordinal]
+            context.bind_shared(
+                "#{}".format(ordinal),
+                [LiteralIterator(literal.kind, literal.value).item],
+            )
+        return context
 
     def run(self, bindings: Optional[Dict[str, object]] = None,
             context: Optional[DynamicContext] = None,
             cancel=None) -> SequenceOfItems:
-        """Execute, optionally binding external variables to Python values.
-
-        ``context`` lets callers (the plan cache) supply a root context
-        that already carries parameter-slot bindings.  ``cancel``
-        installs a :class:`repro.cancellation.CancelToken` on the engine
-        for this query; because execution is lazy it stays installed
-        until replaced — callers that interleave queries should prefer
-        :meth:`Rumble.cancel_scope`.
-        """
+        """Execute, optionally binding external variables to Python
+        values.  ``context`` comes from :meth:`context` (a plan with
+        slots needs one); ``cancel`` is installed as by
+        :meth:`Rumble.install_cancel` and, execution being lazy, stays
+        until replaced (see :meth:`Rumble.cancel_scope`)."""
         if cancel is not None:
             self._engine.install_cancel(cancel)
         if context is None:
-            context = self._engine.fresh_context()
+            context = self.context()
         if bindings:
             for name, value in bindings.items():
                 context.bind(name, _to_items(value))
@@ -195,15 +208,49 @@ class Rumble:
             self.result_cache = ResultCache(self.config.result_cache_size)
 
     # -- Compilation ---------------------------------------------------------------
+    def lex(self, query_text: str) -> List[Token]:
+        """Step one of :meth:`compile`, on its own so the plan cache can
+        look a shape up between it and the rest."""
+        with self.runtime.obs.tracer.span("lex") as span:
+            tokens = tokenize(query_text)
+            span.set_attribute("tokens", len(tokens))
+        return tokens
+
     def compile(self, query_text: str,
-                external_variables: Optional[Iterable[str]] = None
-                ) -> CompiledQuery:
-        """Compile a query; ``external_variables`` names bindings the
-        caller will supply to :meth:`CompiledQuery.run`."""
-        module = jsoniq_parser.parse(query_text)
-        static_analysis.analyse(module, external=external_variables or ())
-        iterator, globals_ = compile_main_module(module)
-        return CompiledQuery(self, module, iterator, globals_)
+                external_variables: Optional[Iterable[str]] = None,
+                tokens: Optional[List[Token]] = None,
+                literals=None) -> CompiledQuery:
+        """The one front-end (paper, Figure 10): tokens → AST → static
+        analysis → parameter slots → runtime iterators, each phase under
+        its span.  ``external_variables`` names bindings the caller will
+        supply to :meth:`CompiledQuery.run`; the plan cache passes the
+        ``tokens`` it lexed and their ``literals`` (to become slots)."""
+        obs = self.runtime.obs
+        tracer = obs.tracer
+        if tokens is None:
+            tokens = self.lex(query_text)
+        with tracer.span("parse"):
+            module = Parser(tokens).parse_module()
+        with tracer.span("static-analysis"):
+            static_analysis.analyse(
+                module, external=external_variables or (), obs=obs
+            )
+        slots = ()
+        if literals is not None:
+            from repro.server.plan_cache import assign_parameter_slots
+
+            slots = assign_parameter_slots(module, literals)
+        with tracer.span("compile"):
+            compiler = Compiler()
+            iterator, globals_ = compiler.compile_module(module)
+            compiled = CompiledQuery(self, module, iterator, globals_, slots)
+            if obs.enabled:
+                compiler.count_into(obs.metrics, self.runtime.flags.codegen)
+        with tracer.span("optimize") as span:
+            # Physical planning (Figure 9), rendered only when kept.
+            if tracer.enabled:
+                span.set_attribute("plan", compiled.physical_explain())
+        return compiled
 
     # -- Request lifecycle -----------------------------------------------------------
     def install_cancel(self, token) -> None:
@@ -243,37 +290,37 @@ class Rumble:
     def query(self, query_text: str,
               bindings: Optional[Dict[str, object]] = None,
               cancel=None) -> SequenceOfItems:
-        # External bindings are host values outside the cache key: a
-        # bound query always bypasses the result cache (the *plan* cache
-        # still applies — binding names are part of its key).
+        """The one text → items path: result-cache lookup, the compiled
+        plan (from the plan cache or :meth:`compile`), one run."""
         if cancel is not None:
             self.install_cancel(cancel)
+        # External bindings are host values outside the cache key: a
+        # bound query bypasses the result cache (not the plan cache:
+        # binding names are part of its key).
         cache_results = self.result_cache is not None and not bindings
         if cache_results:
             cached = self.result_cache.lookup(self, query_text)
             if cached is not None:
                 return cached
+        external = tuple(sorted(bindings or ()))
+        literals = ()
         if self.plan_cache is not None:
-            plan, literals, _ = self.plan_cache.fetch(
-                self, query_text,
-                external=tuple(sorted(bindings or ())),
+            compiled, literals, _ = self.plan_cache.fetch(
+                self, query_text, external
             )
-            context = plan.prepare_context(literals)
-            result = plan.run_with(literals, bindings, context=context)
+        else:
+            compiled = self.compile(query_text, external)
+        context = compiled.context(literals)
+        # ``execute`` opens wherever items are materialized: here (globals
+        # and the result-cache fill, whose mode is the lazy handle's, not
+        # the replay's) and in whoever collects the result.
+        with self.runtime.obs.tracer.span("execute") as span:
+            result = compiled.run(bindings, context=context)
+            span.set_attribute("mode", result.mode())
             if cache_results:
-                return self.result_cache.execute(
-                    self, query_text, plan.iterator, context, result
+                result = self.result_cache.execute(
+                    self, query_text, compiled.iterator, context, result
                 )
-            return result
-        compiled = self.compile(
-            query_text, external_variables=bindings or ()
-        )
-        context = self.fresh_context()
-        result = compiled.run(bindings, context=context)
-        if cache_results:
-            return self.result_cache.execute(
-                self, query_text, compiled.iterator, context, result
-            )
         return result
 
     # -- Static tooling ----------------------------------------------------------------
@@ -289,23 +336,16 @@ class Rumble:
         """
         from repro.jsoniq.analysis.explain import render_module
 
-        module = jsoniq_parser.parse(query_text)
-        static_analysis.analyse(module, external=external_variables or ())
-        lines = [render_module(module)]
-        iterator, _ = compile_main_module(module)
-        notes = self._optimizer_notes(iterator)
-        if notes:
-            lines.append("")
-            lines.extend(notes)
-        replan = self._adaptive_replan_notes()
-        if replan:
-            lines.append("")
-            lines.extend(replan)
-        shreds = self._columnar_scan_notes()
-        if shreds:
-            lines.append("")
-            lines.extend(shreds)
-        return "\n".join(lines)
+        compiled = self.compile(query_text, external_variables)
+        sections = (
+            [render_module(compiled.module)],
+            self._optimizer_notes(compiled.iterator),
+            self._adaptive_replan_notes(),
+            self._columnar_scan_notes(),
+        )
+        return "\n\n".join(
+            "\n".join(section) for section in sections if section
+        )
 
     def _optimizer_notes(self, iterator: RuntimeIterator) -> List[str]:
         """The optimizer section of :meth:`explain`: global toggles plus
@@ -437,83 +477,48 @@ class Rumble:
         return lint_query(query_text)
 
     # -- Profiled execution ------------------------------------------------------------
+    @contextmanager
+    def _observed(self, obs: Observability):
+        """Install ``obs`` as the engine's bundle and attach it to the
+        substrate for a ``with`` block, then restore both."""
+        previous = self.runtime.obs
+        self.runtime.obs = obs
+        obs.attach(self.spark.spark_context)
+        try:
+            yield
+        finally:
+            self.runtime.obs = previous
+            obs.detach(self.spark.spark_context)
+
     def profile(self, query_text: str,
                 bindings: Optional[Dict[str, object]] = None,
                 cap: Optional[int] = None) -> ProfileReport:
         """Run a query under full observability and return the report.
 
-        The compile pipeline runs phase by phase under tracing spans
-        (lex, parse, static-analysis, compile, optimize, execute), the
-        substrate emits stage/task/shuffle events, and every instrumented
-        row path counts into the metrics registry.  The report carries
-        the query result, so profiling never means running twice.
+        A profile is the plain run — :meth:`query`, then the collect —
+        under an attached bundle: the front-end reports its phases as far
+        as it ran (a plan- or result-cache hit skips them and counts a
+        hit), ``execute`` covers every materialization, the substrate
+        emits stage/task/shuffle events and the instrumented row paths
+        count.  The report carries the result: profiling never runs twice.
         """
-        from repro.jsoniq.lexer import tokenize
         from repro.obs.events import QUERY_END, QUERY_START
 
         obs = Observability(enabled=True)
-        previous = self.runtime.obs
-        self.runtime.obs = obs
-        obs.attach(self.spark.spark_context)
-        obs.events.emit(QUERY_START, query=query_text)
-        mode = "local"
-        try:
+        with self._observed(obs):
+            obs.events.emit(QUERY_START, query=query_text)
             with obs.tracer.span("query", query=query_text) as root:
-                with obs.tracer.span("lex") as lex_span:
-                    tokens = tokenize(query_text)
-                    lex_span.attributes["tokens"] = len(tokens)
-                with obs.tracer.span("parse"):
-                    module = jsoniq_parser.parse(query_text)
-                with obs.tracer.span("static-analysis"):
-                    static_analysis.analyse(
-                        module, external=tuple(bindings or ()), obs=obs
-                    )
-                with obs.tracer.span("compile"):
-                    from repro.jsoniq.compiler import Compiler
-
-                    compiler = Compiler()
-                    iterator, globals_ = compiler.compile_module(module)
-                    for kind, fired in compiler.stats.items():
-                        if not fired:
-                            continue
-                        if kind.startswith("codegen_"):
-                            # The emitter's specialization tally; only
-                            # meaningful (and only reported) when the
-                            # generated stage can actually run.
-                            if self.runtime.flags.codegen:
-                                obs.metrics.counter(
-                                    "rumble.codegen.specialized",
-                                    kind=kind[len("codegen_"):],
-                                ).inc(fired)
-                            continue
-                        obs.metrics.counter(
-                            "rumble.static.fastpath", kind=kind
-                        ).inc(fired)
-                    compiled = CompiledQuery(self, module, iterator, globals_)
-                with obs.tracer.span("optimize") as opt_span:
-                    # Physical planning: choose the execution mode per
-                    # clause chain (the Figure-9 mapping).
-                    opt_span.attributes["plan"] = compiled.physical_explain()
-                with obs.tracer.span("execute") as exec_span:
-                    result = compiled.run(bindings)
-                    mode = "distributed" if result.is_rdd() else "local"
-                    exec_span.attributes["mode"] = mode
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        items = result.collect(cap)
+                result = self.query(query_text, bindings)
+                with obs.tracer.span("execute", mode=result.mode()):
+                    items, _ = result.collect_capped(cap)
+            # The first ``execute`` is the run; a cache hit leaves the replay.
+            mode = root.find("execute").attributes["mode"]
             obs.events.emit(
                 QUERY_END, query=query_text, mode=mode, items=len(items)
             )
-        finally:
-            self.runtime.obs = previous
-            obs.detach(self.spark.spark_context)
         return ProfileReport(
-            query=query_text,
-            root_span=root,
-            metrics=obs.metrics.snapshot(),
-            events=obs.events.events,
-            items=items,
-            mode=mode,
+            query_text, root, obs.metrics.snapshot(), obs.events.events,
+            items=items, mode=mode,
         )
 
     # -- Environment -------------------------------------------------------------------
@@ -581,28 +586,23 @@ def make_engine(
     docs/performance.md, "Whole-stage code generation").
     """
     conf = SparkConf()
-    conf.set("spark.executor.instances", executors)
-    conf.set("spark.default.parallelism", parallelism)
-    if block_size is not None:
-        conf.set("spark.storage.blockSize", block_size)
-    if fault_plan is not None:
-        conf.set("spark.chaos.plan", fault_plan)
-    if max_retries is not None:
-        conf.set("spark.task.maxRetries", max_retries)
-    if speculation is not None:
-        conf.set("spark.speculation", speculation)
-    if blacklist_threshold is not None:
-        conf.set("spark.blacklist.threshold", blacklist_threshold)
-    if task_timeout is not None:
-        conf.set("spark.task.timeoutSeconds", task_timeout)
-    if retry_backoff is not None:
-        conf.set("spark.task.retryBackoffSeconds", retry_backoff)
-    if fusion is not None:
-        conf.set("spark.fusion.enabled", fusion)
-    if adaptive is not None:
-        conf.set("spark.adaptive.enabled", adaptive)
-    if memory_budget is not None:
-        conf.set("spark.memory.budgetBytes", memory_budget)
+    settings = {
+        "spark.executor.instances": executors,
+        "spark.default.parallelism": parallelism,
+        "spark.storage.blockSize": block_size,
+        "spark.chaos.plan": fault_plan,
+        "spark.task.maxRetries": max_retries,
+        "spark.speculation": speculation,
+        "spark.blacklist.threshold": blacklist_threshold,
+        "spark.task.timeoutSeconds": task_timeout,
+        "spark.task.retryBackoffSeconds": retry_backoff,
+        "spark.fusion.enabled": fusion,
+        "spark.adaptive.enabled": adaptive,
+        "spark.memory.budgetBytes": memory_budget,
+    }
+    for key, value in settings.items():
+        if value is not None:
+            conf.set(key, value)
     overrides = {
         name: value
         for name, value in {

@@ -10,7 +10,7 @@ supports the RDD API (Section 5.4).
 from __future__ import annotations
 
 import warnings
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.items import Item
 from repro.jsoniq.errors import DynamicException
@@ -52,6 +52,11 @@ class SequenceOfItems:
             return self.rdd().take(count)
         return self._iterator.materialize_local(self._context, limit=count)
 
+    def mode(self) -> str:
+        """``"distributed"`` when the root iterator runs on the RDD /
+        DataFrame path, ``"local"`` when it streams through the pull API."""
+        return "distributed" if self.is_rdd() else "local"
+
     def first(self) -> Optional[Item]:
         taken = self.take(1)
         return taken[0] if taken else None
@@ -62,31 +67,40 @@ class SequenceOfItems:
         # Batched pulls: one generator resumption per chunk, not per item.
         return sum(
             len(batch)
-            for batch in self._iterator.iterate_batches(
-                self._context, self._config.batch_size
-            )
+            for batch in self._iterator.iterate_batches(self._context)
         )
 
-    def collect(self, cap: Optional[int] = None) -> List[Item]:
-        """Materialize on the driver, applying the configured cap."""
+    def collect_capped(
+        self, cap: Optional[int] = None
+    ) -> Tuple[List[Item], bool]:
+        """Materialize on the driver: at most ``cap`` items (default: the
+        configured cap) and whether more were available.  The one
+        materializing core — it neither warns nor raises, so callers that
+        print or ship a capped result (CLI, shell, server, profiler) need
+        no warning filter."""
         limit = cap if cap is not None else self._config.materialization_cap
         taken = self.take(limit + 1)
+        more = len(taken) > limit
+        del taken[limit:]
         obs = _obs_of(self._context)
         if obs is not None:
-            obs.metrics.counter("rumble.result.items").inc(
-                min(len(taken), limit)
-            )
-        if len(taken) > limit:
+            obs.metrics.counter("rumble.result.items").inc(len(taken))
+        return taken, more
+
+    def collect(self, cap: Optional[int] = None) -> List[Item]:
+        """:meth:`collect_capped`, warning (or, with ``warn_on_cap`` off,
+        raising) when the cap truncated the result."""
+        items, more = self.collect_capped(cap)
+        if more:
             message = (
                 "result has more than {} items; truncating (raise the "
                 "materialization cap or use items()/write_json_lines())"
-                .format(limit)
+                .format(len(items))
             )
-            if self._config.warn_on_cap:
-                warnings.warn(message, MaterializationCapExceeded)
-                return taken[:limit]
-            raise DynamicException(message, code="SENR0004")
-        return taken
+            if not self._config.warn_on_cap:
+                raise DynamicException(message, code="SENR0004")
+            warnings.warn(message, MaterializationCapExceeded)
+        return items
 
     def to_python(self, cap: Optional[int] = None) -> List[object]:
         return [item.to_python() for item in self.collect(cap)]

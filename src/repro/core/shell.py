@@ -73,12 +73,7 @@ class RumbleShell:
             rendered = [item.serialize() for item in report.items]
             rendered.extend(report.render().splitlines())
             return prefix + rendered
-        result = self.engine.query(query_text)
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            items = result.collect()
+        items, _ = self.engine.query(query_text).collect_capped()
         return prefix + [item.serialize() for item in items]
 
     def _print(self, text: str) -> None:

@@ -77,9 +77,6 @@ class BooleanItem(AtomicItem):
     def effective_boolean_value(self) -> bool:
         return self.value
 
-    def boolean_value(self) -> bool:
-        return self.value
-
     def to_python(self) -> bool:
         return self.value
 
@@ -143,9 +140,6 @@ class NumericItem(AtomicItem):
 
     def effective_boolean_value(self) -> bool:
         return self.value != 0 and self.value == self.value  # NaN is false
-
-    def numeric_value(self):
-        return self.value
 
     def to_python(self):
         return self.value

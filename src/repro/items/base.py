@@ -81,16 +81,6 @@ class Item:
             "XPTY0004", "cannot take string value of " + self.type_name
         )
 
-    def numeric_value(self):
-        raise make_type_error(
-            "XPTY0004", "cannot take numeric value of " + self.type_name
-        )
-
-    def boolean_value(self) -> bool:
-        raise make_type_error(
-            "XPTY0004", "cannot take boolean value of " + self.type_name
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "{}({})".format(type(self).__name__, self.serialize())
 

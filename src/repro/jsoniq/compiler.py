@@ -96,8 +96,7 @@ class Compiler:
         self._functions: Dict[Tuple[str, int], UserFunction] = {}
         self._function_decls: Dict[Tuple[str, int],
                                    ast.FunctionDeclaration] = {}
-        #: How often each type-driven rewrite fired; surfaced by the
-        #: profiler as ``rumble.static.fastpath`` counters.
+        #: How often each type-driven rewrite fired.
         self.stats: Dict[str, int] = {
             "const_fold": 0,
             "count_fold": 0,
@@ -105,6 +104,23 @@ class Compiler:
             "fast_comparison": 0,
             "treat_wrapped": 0,
         }
+        #: The emitter's per-shape specialization tally over this
+        #: module's generated stages.
+        self.specializations: Dict[str, int] = {}
+
+    def count_into(self, metrics, codegen: bool) -> None:
+        """Report this compile's tallies: ``rumble.static.fastpath`` per
+        rewrite and — meaningful only when the generated stage can run
+        (``codegen``) — ``rumble.codegen.specialized`` per shape."""
+        tallies = [("rumble.static.fastpath", self.stats)]
+        if codegen:
+            tallies.append(
+                ("rumble.codegen.specialized", self.specializations)
+            )
+        for name, tally in tallies:
+            for kind, fired in tally.items():
+                if fired:
+                    metrics.counter(name, kind=kind).inc(fired)
 
     def compile_module(
         self, module: ast.MainModule
@@ -520,13 +536,9 @@ class Compiler:
                 pushdown.annotate(node, result)
                 plan = result.pushdown_plan
                 if plan is not None and plan.stage is not None:
-                    # Surface the emitter's per-shape specialization
-                    # tally next to the static-fastpath stats; the
-                    # profiler splits the ``codegen_`` prefix back out
-                    # as ``rumble.codegen.specialized`` counters.
+                    tally = self.specializations
                     for kind, fired in plan.stage.specializations.items():
-                        key = "codegen_" + kind
-                        self.stats[key] = self.stats.get(key, 0) + fired
+                        tally[kind] = tally.get(kind, 0) + fired
                 return result
         raise StaticException("FLWOR without return clause")
 
@@ -588,8 +600,3 @@ def _analyse_group_usage(
         elif isinstance(clause, ast.CountClause):
             alive.discard(clause.variable)
     return usage
-
-
-def compile_main_module(module: ast.MainModule):
-    """Convenience wrapper used by the engine."""
-    return Compiler().compile_module(module)

@@ -32,8 +32,11 @@ _KEYWORD_FUNCTIONS = frozenset({"count", "empty", "null"})
 
 
 class Parser:
-    def __init__(self, text: str):
-        self._tokens = tokenize(text)
+    """Recursive descent over a token list (``lexer.tokenize``'s output:
+    whoever lexed the text hands the tokens over, nobody lexes twice)."""
+
+    def __init__(self, tokens: List[Token]):
+        self._tokens = tokens
         self._index = 0
 
     # -- Token plumbing -------------------------------------------------------
@@ -834,7 +837,7 @@ class Parser:
 
 def parse(text: str) -> ast.MainModule:
     """Parse a JSONiq main module (prolog + expression)."""
-    return Parser(text).parse_module()
+    return Parser(tokenize(text)).parse_module()
 
 
 def parse_expression(text: str) -> ast.Expression:

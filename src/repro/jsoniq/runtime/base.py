@@ -17,6 +17,10 @@ from repro.jsoniq.errors import DynamicException, TypeException
 from repro.jsoniq.runtime.dynamic_context import DynamicContext
 
 
+#: Items per driver-side pull of :meth:`RuntimeIterator.iterate_batches`.
+BATCH_SIZE = 256
+
+
 def _obs_of(context: DynamicContext):
     """The enabled observability bundle of this run, or None.
 
@@ -86,30 +90,6 @@ class RuntimeIterator:
         self._lookahead = None
         return item
 
-    def next_batch(self, max_items: Optional[int] = None) -> List[Item]:
-        """Pull up to ``max_items`` items in one call (the batched pull
-        API): one ``islice`` drain instead of a ``has_next()``/``next()``
-        round-trip per item.  Returns a short (possibly empty) list when
-        the iterator exhausts; ``None`` means drain everything.
-        """
-        self._require_open()
-        batch: List[Item] = []
-        if self._lookahead is not None:
-            batch.append(self._lookahead)
-            self._lookahead = None
-        if self._exhausted:
-            return batch
-        if max_items is None:
-            batch.extend(self._generator)
-            self._exhausted = True
-            return batch
-        wanted = max_items - len(batch)
-        if wanted > 0:
-            batch.extend(islice(self._generator, wanted))
-            if len(batch) < max_items:
-                self._exhausted = True
-        return batch
-
     def reset(self, context: DynamicContext) -> None:
         self._require_open()
         self._context = context
@@ -128,24 +108,8 @@ class RuntimeIterator:
 
     # -- Convenience -----------------------------------------------------------------
     def iterate(self, context: DynamicContext) -> Iterator[Item]:
-        """Stream the items of this expression in a fresh evaluation.
-
-        When the engine runs under a profiler the stream is counted into
-        the ``rumble.iterator.rows`` metric, labelled by iterator class;
-        the disabled path is the plain generator (no allocation).
-        """
-        obs = _obs_of(context)
-        if obs is not None:
-            return self._counted_generate(context, obs)
+        """Stream the items of this expression in a fresh evaluation."""
         return self._generate(context)
-
-    def _counted_generate(self, context: DynamicContext, obs) -> Iterator[Item]:
-        counter = obs.metrics.counter(
-            "rumble.iterator.rows", iterator=type(self).__name__
-        )
-        for item in self._generate(context):
-            counter.inc()
-            yield item
 
     def materialize(self, context: DynamicContext) -> List[Item]:
         """Fully evaluate into a list, preferring the RDD path if available
@@ -202,19 +166,14 @@ class RuntimeIterator:
         return list(islice(self._generate(context), limit))
 
     def iterate_batches(
-        self, context: DynamicContext, batch_size: Optional[int] = None
+        self, context: DynamicContext
     ) -> Iterator[List[Item]]:
-        """Stream the result in chunks of up to ``batch_size`` items.
+        """Stream the result in chunks of up to :data:`BATCH_SIZE` items.
 
         The chunked consumption pattern of the driver-side paths
         (:class:`repro.core.results.SequenceOfItems`): one generator
-        resumption per batch instead of per item.  ``batch_size``
-        defaults to the engine's ``RumbleConfig.batch_size``.
+        resumption per batch instead of per item.
         """
-        if batch_size is None:
-            runtime = context.runtime
-            config = getattr(runtime, "config", None) if runtime else None
-            batch_size = getattr(config, "batch_size", 256) or 256
         cancel = _cancel_of(context)
         iterator = self.iterate(context)
         while True:
@@ -223,7 +182,7 @@ class RuntimeIterator:
                 # covers expressions that never cross a clause or
                 # partition boundary (pure local pipelines).
                 cancel.check()
-            batch = list(islice(iterator, batch_size))
+            batch = list(islice(iterator, BATCH_SIZE))
             if not batch:
                 return
             yield batch

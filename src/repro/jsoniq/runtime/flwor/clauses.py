@@ -243,6 +243,33 @@ def _row_evaluator(expression: RuntimeIterator, context: DynamicContext):
     return evaluate
 
 
+def _counted(function, context: DynamicContext, clause: str, size=len,
+             rows_in: bool = False, **labels):
+    """``function``, counting into ``clause``'s ``rumble.clause.rows_out``
+    (``size(result)`` per call; ``rows_in`` adds one per call) under an
+    enabled bundle; ``function`` itself otherwise.  The one place a
+    DataFrame clause's row function meets the probes: counting is per
+    row and synchronous, so it is exact under ``take()``, an error, a
+    cancel or a retried task."""
+    obs = _obs_of(context)
+    if obs is None:
+        return function
+    counter = obs.metrics.counter
+    out = counter("rumble.clause.rows_out", clause=clause, **labels)
+    into = counter("rumble.clause.rows_in", clause=clause) if rows_in else None
+
+    def counted(row):
+        if into is not None:
+            into.inc()
+        result = function(row)
+        produced = size(result)
+        if produced:
+            out.inc(produced)
+        return result
+
+    return counted
+
+
 class ForClauseIterator(ClauseIterator):
     """``for $v in expr`` — Section 4.4.
 
@@ -305,8 +332,6 @@ class ForClauseIterator(ClauseIterator):
         return self.input_clause.supports_dataframe(context)
 
     def get_dataframe(self, context: DynamicContext) -> DataFrame:
-        runtime = context.runtime
-        obs = _obs_of(context)
         if self.input_clause is None:
             plan = self.pushdown_plan
             if plan is not None:
@@ -314,20 +339,14 @@ class ForClauseIterator(ClauseIterator):
             else:
                 rdd = self.expression.get_rdd(context)
             variable = self.variable
-            if obs is not None:
-                scanned = obs.metrics.counter(
-                    "rumble.clause.rows_out", clause="ForClauseIterator",
-                    source=type(self.expression).__name__,
-                )
-
-                def bind(item):
-                    scanned.inc()
-                    return {variable: [item]}
-
-                rows = rdd.map(bind)
-            else:
-                rows = rdd.map(lambda item: {variable: [item]})
-            return self._frame(runtime.spark, rows, [variable])
+            bind = _counted(
+                lambda item: {variable: [item]}, context,
+                "ForClauseIterator", size=lambda row: 1,
+                source=type(self.expression).__name__,
+            )
+            return self._frame(
+                context.runtime.spark, rdd.map(bind), [variable]
+            )
         frame = self.input_clause.get_dataframe(context)
         evaluator = _row_evaluator(self.expression, context)
         allowing_empty = self.allowing_empty
@@ -338,19 +357,11 @@ class ForClauseIterator(ClauseIterator):
                 return [[]]
             return [[item] for item in items]
 
-        if obs is not None:
-            inner_fan_out = fan_out
-            fanned = obs.metrics.counter(
-                "rumble.clause.rows_out", clause="ForClauseIterator"
-            )
-
-            def fan_out(row: Dict[str, object]) -> List[List[Item]]:
-                out = inner_fan_out(row)
-                fanned.inc(len(out))
-                return out
-
         existing = [col(name) for name in frame.columns if name != self.variable]
-        exploded = explode(row_udf(fan_out, name="EVALUATE_EXPRESSION"))
+        exploded = explode(row_udf(
+            _counted(fan_out, context, "ForClauseIterator"),
+            name="EVALUATE_EXPRESSION",
+        ))
         return frame.select(*existing, exploded.alias(self.variable))
 
     def sql_template(self) -> str:
@@ -602,24 +613,10 @@ class WhereClauseIterator(ClauseIterator):
         frame = self.input_clause.get_dataframe(context)
         if self.pushdown_plan is not None and context.runtime.flags.pushdown:
             return frame
-        predicate = _make_fast_predicate(self.condition, context)
-        obs = _obs_of(context)
-        if obs is not None:
-            inner_predicate = predicate
-            rows_in = obs.metrics.counter(
-                "rumble.clause.rows_in", clause="WhereClauseIterator"
-            )
-            rows_out = obs.metrics.counter(
-                "rumble.clause.rows_out", clause="WhereClauseIterator"
-            )
-
-            def predicate(row: Dict[str, object]) -> bool:
-                rows_in.inc()
-                selected = inner_predicate(row)
-                if selected:
-                    rows_out.inc()
-                return selected
-
+        predicate = _counted(
+            _make_fast_predicate(self.condition, context), context,
+            "WhereClauseIterator", size=int, rows_in=True,
+        )
         return frame.where(row_udf(predicate, name="EVALUATE_EXPRESSION"))
 
     def sql_template(self) -> str:
@@ -1089,23 +1086,10 @@ class ReturnClauseIterator(RuntimeIterator):
             if staged is not None:
                 return staged
         frame = self.input_clause.get_dataframe(context)
-        expression = self.expression
-        obs = _obs_of(context)
-
-        def emit(row: Dict[str, object]) -> List[Item]:
-            return expression.materialize_local(_row_context(context, row))
-
-        if obs is not None:
-            inner_emit = emit
-            returned = obs.metrics.counter(
-                "rumble.clause.rows_out", clause="ReturnClauseIterator"
-            )
-
-            def emit(row: Dict[str, object]) -> List[Item]:
-                out = inner_emit(row)
-                returned.inc(len(out))
-                return out
-
+        emit = _counted(
+            _row_evaluator(self.expression, context), context,
+            "ReturnClauseIterator",
+        )
         return frame.rdd.flat_map(emit)
 
     def sql_template(self) -> str:

@@ -479,7 +479,7 @@ def annotate(flwor: ast.FlworExpression, return_iterator) -> None:
             return_iterator.pushdown_plan = plan
             _cover_wheres(plan, chain)
             _plan_sinks(plan, return_iterator)
-    _rewrite_topk(flwor, return_iterator)
+    _rewrite_topk(return_iterator)
 
 
 def _cover_wheres(plan: PushdownPlan, chain: List[object]) -> None:
@@ -528,7 +528,7 @@ def _plan_sinks(plan: PushdownPlan, return_iterator) -> None:
             plan.declined = str(unsupported)
 
 
-def _rewrite_topk(flwor: ast.FlworExpression, return_iterator) -> None:
+def _rewrite_topk(return_iterator) -> None:
     """Recognize ``order by ... count $c where $c le k return ...`` and
     splice in a :class:`TopKClauseIterator`, keeping the original where
     clause as the reference fallback."""

@@ -4,8 +4,8 @@ Historically this module only chained static contexts (paper, Section
 5.3).  The actual work now lives in :mod:`repro.jsoniq.analysis.inference`,
 which additionally infers a static sequence type and plans an execution
 mode for every node, and reports diagnostics; this module keeps the
-stable ``analyse`` entry point (plus the legacy ``_analyse_expression`` /
-``_analyse_flwor`` helpers some callers import directly).
+stable ``analyse`` entry point (plus ``_analyse_flwor``, which
+``tests/test_static_analysis.py`` drives directly).
 """
 
 from __future__ import annotations
@@ -31,12 +31,6 @@ def analyse(module: ast.MainModule, external=(), sink=None,
     """
     analyzer = Analyzer(sink=sink, collect_type_errors=collect_type_errors)
     return analyzer.analyse_module(module, external=external, obs=obs)
-
-
-def _analyse_expression(node: ast.Expression,
-                        context: StaticContext) -> None:
-    """Legacy helper: analyse one expression in a given context."""
-    Analyzer().visit(node, context)
 
 
 def _analyse_flwor(node: ast.FlworExpression,

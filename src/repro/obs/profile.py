@@ -47,8 +47,14 @@ class ProfileReport:
 
     @property
     def phases(self) -> Dict[str, float]:
-        """Phase name -> seconds, in pipeline order, from the span tree."""
-        named = {child.name: child.duration for child in self.root_span.children}
+        """Phase name -> seconds, in pipeline order, from the span tree.
+
+        A phase a cache hit skipped is absent; one that opened more than
+        once (``execute``: the result-cache fill, then the collect) is
+        the sum of its spans."""
+        named: Dict[str, float] = {}
+        for child in self.root_span.children:
+            named[child.name] = named.get(child.name, 0.0) + child.duration
         ordered = {name: named[name] for name in PHASES if name in named}
         for name, seconds in named.items():
             if name not in ordered:
@@ -60,8 +66,7 @@ class ProfileReport:
         counters = self.metrics.get("counters", {})
         return {
             name: value for name, value in counters.items()
-            if name.startswith(("rumble.iterator.rows",
-                                "rumble.clause.rows",
+            if name.startswith(("rumble.clause.rows",
                                 "rumble.clause.tuples"))
         }
 

@@ -24,7 +24,7 @@ using ``SITE_ATTRS`` to map ``self._lock``-style sites to lock names.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 LOCK_ORDER: Tuple[str, ...] = (
     "server.session",
@@ -68,7 +68,3 @@ SITE_ATTRS: Dict[Tuple[str, str], str] = {
     ("Counter", "_lock"): "obs.metrics.instrument",
     ("Gauge", "_lock"): "obs.metrics.instrument",
 }
-
-
-def rank_of(name: str) -> Optional[int]:
-    return RANK.get(name)

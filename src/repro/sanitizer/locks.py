@@ -95,10 +95,6 @@ def _seen_contexts() -> set:
     return _tls.seen
 
 
-def held_names() -> Tuple[str, ...]:
-    return tuple(entry.name for entry in _held_stack())
-
-
 def held_lock_ids() -> FrozenSet[int]:
     """Identities of the locks the current thread holds (for locksets).
 

@@ -39,14 +39,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from decimal import Decimal
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.jsoniq import ast
-from repro.jsoniq import parser as jsoniq_parser
-from repro.jsoniq import static_analysis
-from repro.jsoniq.compiler import compile_main_module
 from repro.jsoniq.lexer import tokenize
-from repro.jsoniq.runtime.primary import LiteralIterator
 from repro.sanitizer import san_lock, shared_state
 
 #: Token kinds that lex as literals and participate in normalization.
@@ -77,16 +73,20 @@ def _decode(kind: str, text: str):
     return float(text)
 
 
-def fingerprint(query_text: str) -> Tuple[Tuple, List[TokenLiteral]]:
+def fingerprint(query_text: str, tokens=None
+                ) -> Tuple[Tuple, List[TokenLiteral]]:
     """(shape, literals) of a query.
 
     The shape is the token stream with every literal token replaced by a
     typed placeholder; ``literals`` lists the replaced tokens in source
-    order.  Raises the lexer's ParseException on malformed input.
+    order.  ``tokens`` is the text already lexed (by the engine's
+    front-end, which compiles from the same list after a miss); without
+    it the text is lexed here, raising the lexer's ParseException on
+    malformed input.
     """
     shape: List[Tuple[str, str]] = []
     literals: List[TokenLiteral] = []
-    for token in tokenize(query_text):
+    for token in tokens if tokens is not None else tokenize(query_text):
         if token.kind in _LITERAL_TOKEN_KINDS:
             shape.append(("?", token.kind))
             literals.append(TokenLiteral(
@@ -141,11 +141,11 @@ def _structural_positions(module: ast.MainModule) -> Set[Tuple[int, int]]:
 
 def assign_parameter_slots(
     module: ast.MainModule, literals: List[TokenLiteral]
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+) -> Tuple[int, ...]:
     """Mark parameterizable Literal nodes with their token ordinal.
 
-    Returns ``(slots, structural)``: the ordinals compiled as parameter
-    readers and the ordinals whose values belong in the cache key.  A
+    Returns the ordinals compiled as parameter readers; every other
+    ordinal is structural (its value belongs in the cache key).  A
     literal token that cannot be matched one-to-one to an AST node (by
     exact source position, kind and value) is kept structural — a safe
     degradation to exact-value caching, never an unsound reuse.
@@ -171,61 +171,11 @@ def assign_parameter_slots(
             matched[ordinal] = node
 
     slots: List[int] = []
-    structural: List[int] = []
-    for ordinal, literal in enumerate(literals):
-        node = matched.get(ordinal)
-        if node is None or (literal.line, literal.column
-                            ) in structural_positions:
-            structural.append(ordinal)
-        else:
+    for ordinal, node in sorted(matched.items()):
+        if (node.line, node.column) not in structural_positions:
             node.parameter_slot = ordinal
             slots.append(ordinal)
-    return tuple(slots), tuple(structural)
-
-
-def parameter_item(kind: str, value):
-    """The Item bound into a parameter slot for one run."""
-    return LiteralIterator(kind, value).item
-
-
-class CachedPlan:
-    """A compiled plan plus the parameter slots it reads."""
-
-    def __init__(self, engine, module, iterator, globals_,
-                 slots: Tuple[int, ...]):
-        # Import here: core.engine imports this module lazily, and the
-        # reverse import at module scope would be circular.
-        from repro.core.engine import CompiledQuery
-
-        self._compiled = CompiledQuery(engine, module, iterator, globals_)
-        self._engine = engine
-        self.slots = slots
-
-    @property
-    def iterator(self):
-        return self._compiled.iterator
-
-    @property
-    def compiled(self):
-        return self._compiled
-
-    def prepare_context(self, literals: List[TokenLiteral]):
-        """A root context with this run's parameter values bound."""
-        context = self._engine.fresh_context()
-        for ordinal in self.slots:
-            literal = literals[ordinal]
-            context.bind_shared(
-                "#{}".format(ordinal),
-                [parameter_item(literal.kind, literal.value)],
-            )
-        return context
-
-    def run_with(self, literals: List[TokenLiteral],
-                 bindings: Optional[Dict[str, object]] = None,
-                 context=None):
-        if context is None:
-            context = self.prepare_context(literals)
-        return self._compiled.run(bindings, context=context)
+    return tuple(slots)
 
 
 @shared_state
@@ -255,7 +205,8 @@ class PlanCache:
         self._lock = san_lock("server.plan_cache")
         #: (shape, external) -> structural ordinal tuple for that shape.
         self._structural: Dict[Tuple, Tuple[int, ...]] = {}
-        self._plans: "OrderedDict[Tuple, CachedPlan]" = OrderedDict()
+        #: plan key -> the engine's :class:`CompiledQuery`.
+        self._plans: "OrderedDict[Tuple, object]" = OrderedDict()
         #: (query_text, external) -> (plan key, literals) fast path.
         self._exact: "OrderedDict[Tuple, Tuple[Tuple, List[TokenLiteral]]]" \
             = OrderedDict()
@@ -280,8 +231,9 @@ class PlanCache:
             obs.metrics.counter("rumble.plancache." + outcome).inc()
 
     def fetch(self, engine, query_text: str, external: Tuple[str, ...] = ()
-              ) -> Tuple[CachedPlan, List[TokenLiteral], bool]:
-        """(plan, literals, hit) for a query, compiling on a miss."""
+              ) -> Tuple[object, List[TokenLiteral], bool]:
+        """(compiled plan, literals, hit) for a query; a miss compiles
+        through ``engine.compile``, from the tokens lexed here."""
         exact_key = (query_text, tuple(external))
         with self._lock:
             memo = self._exact.get(exact_key)
@@ -300,7 +252,8 @@ class PlanCache:
             self._count(engine, "hits")
             return plan, literals, True
 
-        shape, literals = fingerprint(query_text)
+        tokens = engine.lex(query_text)
+        shape, literals = fingerprint(query_text, tokens)
         base = (shape, tuple(external))
         with self._lock:
             structural = self._structural.get(base)
@@ -325,11 +278,12 @@ class PlanCache:
 
         # Compile outside the lock: parsing and code generation are the
         # expensive part and touch no cache state.
-        module = jsoniq_parser.parse(query_text)
-        static_analysis.analyse(module, external=external)
-        slots, structural = assign_parameter_slots(module, literals)
-        iterator, globals_ = compile_main_module(module)
-        plan = CachedPlan(engine, module, iterator, globals_, slots)
+        plan = engine.compile(
+            query_text, external, tokens=tokens, literals=literals
+        )
+        structural = tuple(
+            o for o in range(len(literals)) if o not in plan.slots
+        )
         key = base + (tuple(
             (literals[o].kind, literals[o].value) for o in structural
         ),)

@@ -117,7 +117,6 @@ class QueryService:
                  session_config: Optional[RumbleConfig] = None,
                  result_cap: Optional[int] = None,
                  drain_timeout: float = 5.0,
-                 cancellation: bool = True,
                  fault_plan: Optional[FaultPlan] = None,
                  breaker_threshold: int = 5,
                  breaker_cooldown: float = 30.0,
@@ -134,10 +133,6 @@ class QueryService:
         self.default_timeout = default_timeout
         self.result_cap = result_cap
         self.drain_timeout = drain_timeout
-        #: ``False`` disables per-request tokens (the library-compatible
-        #: legacy path); the cancellation-overhead benchmark compares
-        #: the two to pin the cost of the cooperative checks.
-        self.cancellation = cancellation
         self.fault_plan = (
             fault_plan if fault_plan is not None else _env_chaos_plan()
         )
@@ -160,7 +155,7 @@ class QueryService:
         )
         # -- Request lifecycle state ------------------------------------------
         #: In-flight futures -> their cancel tokens (drain + shutdown).
-        self._running: Dict[asyncio.Future, Optional[CancelToken]] = {}
+        self._running: Dict[asyncio.Future, CancelToken] = {}
         #: ``(tenant, query_id)`` -> token (``POST /cancel``).  Keyed by
         #: tenant so one tenant can never cancel another's query, and
         #: duplicate ids within a tenant are rejected up front.
@@ -272,8 +267,7 @@ class QueryService:
             ).inc()
         return True
 
-    def _track(self, future: asyncio.Future,
-               token: Optional[CancelToken]) -> None:
+    def _track(self, future: asyncio.Future, token: CancelToken) -> None:
         self._running[future] = token
 
         def _done(f: asyncio.Future) -> None:
@@ -299,10 +293,7 @@ class QueryService:
                 tenant, started, retryable=True,
                 retry_after=self.drain_timeout,
             )
-        inflight_key = (
-            (tenant, query_id)
-            if query_id is not None and self.cancellation else None
-        )
+        inflight_key = (tenant, query_id) if query_id is not None else None
         if inflight_key is not None and inflight_key in self._inflight:
             # Rejected before the breaker check so no half-open probe
             # slot is consumed by a request that never runs.
@@ -339,13 +330,13 @@ class QueryService:
                     tenant, started, retryable=True, retry_after=2.0,
                 )
         effective = timeout if timeout is not None else self.default_timeout
-        token = CancelToken(timeout=effective) if self.cancellation else None
-        if inflight_key is not None and token is not None:
+        token = CancelToken(timeout=effective)
+        if inflight_key is not None:
             self._inflight[inflight_key] = token
         try:
             async with self.admission.admit(tenant):
                 payload = await self._run_admitted(
-                    tenant, query_text, bindings, token, effective
+                    tenant, query_text, bindings, token
                 )
         except QueryRejected as rejection:
             self.breaker.release(tenant)
@@ -393,8 +384,7 @@ class QueryService:
 
     async def _run_admitted(self, tenant: str, query_text: str,
                             bindings: Optional[Dict[str, object]],
-                            token: Optional[CancelToken],
-                            effective: float) -> Optional[dict]:
+                            token: CancelToken) -> Optional[dict]:
         """The admitted path: run on a worker, enforce the deadline.
 
         Returns the session payload, or None when the timeout elapsed
@@ -425,20 +415,16 @@ class QueryService:
 
             future = loop.run_in_executor(self._pool, run)
             self._track(future, token)
-            remaining = (
-                token.remaining() if token is not None else effective
-            )
+            remaining = token.remaining()
             try:
                 payload = await asyncio.wait_for(
-                    future, max(0.0, remaining or 0.0)
-                    if remaining is not None else None
+                    future,
+                    max(0.0, remaining) if remaining is not None else None,
                 )
             except asyncio.TimeoutError:
-                if token is not None:
-                    # This is the tentpole fix: the 408 used to leave the
-                    # worker running to completion; now the token stops
-                    # it at the next partition/clause boundary.
-                    token.cancel("timeout")
+                # The token stops the worker at the next partition/clause
+                # boundary: a 408 frees the thread, not just the slot.
+                token.cancel("timeout")
                 self.metrics.counter(
                     "rumble.server.timeouts", tenant=tenant
                 ).inc()
@@ -452,10 +438,7 @@ class QueryService:
                     "rumble.server.worker_deaths", tenant=tenant
                 ).inc()
                 continue
-            if (
-                plan is not None and token is not None
-                and plan.server_fault("cancel_race", index)
-            ):
+            if plan is not None and plan.server_fault("cancel_race", index):
                 # Chaos site: cancellation racing completion.  The work
                 # is done; the late cancel must not perturb the response
                 # (or any later query on this session).
@@ -529,7 +512,6 @@ class QueryService:
                 "closed": self._closed,
                 "inflight": len(self._running),
                 "busy_workers": self._busy,
-                "cancellation": self.cancellation,
                 "breaker": self.breaker.snapshot(),
                 "pressure": self.pressure(),
             },
@@ -572,10 +554,10 @@ class QueryService:
            and give them a short grace period to unwind.
         4. Flush event logs, then shut the worker pool down.  The join
            runs off the event loop, and a worker that cannot be
-           stopped — ``cancellation=False``, or a long computation
-           between cooperative checkpoints — is *abandoned* rather
-           than waited for, so the drain deadline stays an upper
-           bound on ``close()`` instead of a suggestion.
+           stopped — a long computation between cooperative
+           checkpoints — is *abandoned* rather than waited for, so
+           the drain deadline stays an upper bound on ``close()``
+           instead of a suggestion.
         """
         async with self._close_lock:
             if self._closed:
@@ -602,7 +584,7 @@ class QueryService:
                     await asyncio.sleep(0.01)
             cancelled = 0
             for token in list(self._running.values()):
-                if token is not None and token.cancel("shutdown"):
+                if token.cancel("shutdown"):
                     cancelled += 1
             pending = [f for f in self._running if not f.done()]
             if pending:
@@ -611,7 +593,7 @@ class QueryService:
             stuck = [f for f in self._running if not f.done()]
             if stuck:
                 # These workers survived cancellation *and* the grace
-                # period (no tokens, or parked in a long compute):
+                # period (parked in a long compute):
                 # joining them would block the event loop indefinitely.
                 # Mark the pool shut down and abandon them.
                 self._pool.shutdown(wait=False, cancel_futures=True)

@@ -23,7 +23,7 @@ from typing import Dict, Optional
 from repro.cancellation import QueryCancelledError
 from repro.core.config import RumbleConfig
 from repro.core.engine import Rumble, make_engine
-from repro.obs import Observability
+from repro.obs import NOOP_TRACER, Observability
 from repro.sanitizer import san_lock, shared_state
 
 
@@ -43,8 +43,11 @@ class Session:
             executors=executors, parallelism=parallelism, config=self.config
         )
         #: Per-session observability: cache and engine counters accumulate
-        #: here, never in a shared registry (tenant isolation).
+        #: here, never in a shared registry (tenant isolation).  A session
+        #: counts but does not trace: the spans of the shared query path
+        #: would otherwise be retained per request.
         self.obs = Observability(enabled=True)
+        self.obs.tracer = NOOP_TRACER
         self.engine.runtime.obs = self.obs
         self._lock = san_lock("server.session")
         self.queries = 0
@@ -76,7 +79,8 @@ class Session:
                 with scope:
                     result = self.engine.query(query_text, bindings=bindings)
                     items = [
-                        item.to_python() for item in result.collect(cap)
+                        item.to_python()
+                        for item in result.collect_capped(cap)[0]
                     ]
             except QueryCancelledError:
                 self.cancelled += 1

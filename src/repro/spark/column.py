@@ -74,9 +74,6 @@ class Column:
     def is_null(self) -> "Column":
         return UnaryOp(self, "ISNULL")
 
-    def is_not_null(self) -> "Column":
-        return UnaryOp(self, "ISNOTNULL")
-
     def asc(self) -> "SortOrder":
         return SortOrder(self, ascending=True)
 

@@ -426,9 +426,6 @@ class DataFrame:
     def collect(self) -> List[Row]:
         return [Row.from_dict(row) for row in self.rdd.collect()]
 
-    def collect_dicts(self) -> List[Dict[str, Any]]:
-        return self.rdd.collect()
-
     def take(self, count: int) -> List[Row]:
         return [Row.from_dict(row) for row in self.rdd.take(count)]
 

@@ -105,9 +105,6 @@ class StructType(DataType):
                 return field
         raise KeyError("no field named {!r}".format(name))
 
-    def has_field(self, name: str) -> bool:
-        return any(field.name == name for field in self.fields)
-
     def simple_string(self) -> str:
         inner = ", ".join(
             "{}:{}".format(f.name, f.data_type.simple_string())

@@ -30,10 +30,10 @@ class TestProfilingIsolation:
             results[name] = rows
 
         thread_a = threading.Thread(target=profile, args=(
-            "a", engine_a, "for $x in 1 to 10 return $x", 8,
+            "a", engine_a, "for $x in 1 to 10 where $x gt 0 return $x", 8,
         ))
         thread_b = threading.Thread(target=profile, args=(
-            "b", engine_b, "for $x in 1 to 100 return $x", 8,
+            "b", engine_b, "for $x in 1 to 100 where $x gt 0 return $x", 8,
         ))
         thread_a.start()
         thread_b.start()

@@ -544,7 +544,6 @@ class TestParseModesCli:
             'count(json-file("{}"))'.format(messy_file),
             "--parse-mode", "dropmalformed",
             "--chaos-seed", "3",
-            "--chaos-crash-rate", "0.5",
         ]) == 0
         captured = capsys.readouterr()
         assert captured.out.strip() == "2"

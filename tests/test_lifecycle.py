@@ -473,18 +473,6 @@ class TestServiceLifecycle:
             await _drain_busy(service)
         run_service(scenario)
 
-    def test_cancellation_disabled_keeps_legacy_timeout_shape(self):
-        # A *bounded* slow query: with cancellation off the worker runs
-        # to completion in the background (the legacy behavior), and
-        # close() must still be able to drain it.
-        async def scenario(service):
-            payload = await service.execute(
-                "a", "count(for $i in 1 to 500000 return $i)",
-                timeout=0.1,
-            )
-            assert payload["status"] == 408
-        run_service(scenario, cancellation=False)
-
     def test_close_is_idempotent(self):
         async def scenario():
             service = _service()
@@ -532,8 +520,7 @@ class TestServiceLifecycle:
 
     def test_close_is_bounded_with_a_stuck_worker(self):
         # A worker parked in a long stretch between cooperative
-        # checkpoints (or running with cancellation disabled) cannot
-        # be joined; close() must abandon the pool at the grace
+        # checkpoints cannot be joined; close() must abandon the pool at the grace
         # deadline instead of blocking the event loop until the
         # worker returns — the drain timeout is an upper bound, not a
         # suggestion.
@@ -633,7 +620,6 @@ class TestServiceLifecycle:
             lifecycle = service.status()["lifecycle"]
             assert lifecycle["closing"] is False
             assert lifecycle["busy_workers"] == 0
-            assert lifecycle["cancellation"] is True
             assert "breaker" in lifecycle
         run_service(scenario)
 

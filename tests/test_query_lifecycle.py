@@ -30,11 +30,6 @@ from repro.server.session import Session
 
 CAP = 100_000
 
-PARENT = (
-    "before the one query lifecycle: profile() compiles and runs by "
-    "itself, a plan-cache miss lexes twice, Session.query warns"
-)
-
 #: An RDD-backed, result-cacheable query that takes measurable time.
 RDD_QUERY = (
     "for $x in parallelize(1 to 20000) where $x mod 7 eq 0 return $x"
@@ -62,7 +57,6 @@ class TestProfileIsQuery:
         assert [item.to_python() for item in report.items] == [2]
         _assert_unprofiled(engine)
 
-    @pytest.mark.xfail(strict=True, reason=PARENT)
     def test_second_profile_hits_the_plan_cache(self):
         engine = Rumble(config=RumbleConfig(plan_cache_size=8))
         engine.profile("1 + 1")
@@ -72,7 +66,6 @@ class TestProfileIsQuery:
         assert "execute" in report.phases
         assert [item.to_python() for item in report.items] == [2]
 
-    @pytest.mark.xfail(strict=True, reason=PARENT)
     def test_second_profile_hits_the_result_cache(self):
         engine = Rumble(config=RumbleConfig(result_cache_size=8))
         first = engine.profile(RDD_QUERY, cap=CAP)
@@ -133,7 +126,6 @@ def lexed(monkeypatch):
 
 
 class TestLexedOnce:
-    @pytest.mark.xfail(strict=True, reason=PARENT)
     def test_plan_cache_miss_lexes_once(self, lexed):
         engine = Rumble(config=RumbleConfig(plan_cache_size=8))
         assert engine.query("1 + 2").to_python() == [3]
@@ -157,7 +149,6 @@ class TestLexedOnce:
         assert engine.query("1 + 2").to_python() == [3]
         assert lexed == ["1 + 2"]
 
-    @pytest.mark.xfail(strict=True, reason=PARENT)
     def test_profile_lexes_once(self, lexed):
         engine = Rumble()
         report = engine.profile("1 + 2")
@@ -190,7 +181,6 @@ class TestSessionRetainsNoSpans:
             "rumble.plancache.misses"
         ) == 300
 
-    @pytest.mark.xfail(strict=True, reason=PARENT)
     def test_capped_collect_leaves_the_warning_filters_alone(self):
         session = Session("tenant")
         with warnings.catch_warnings(record=True) as caught:
